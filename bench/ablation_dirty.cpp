@@ -38,7 +38,6 @@ Outcome Run(bool dirty_global, uint32_t replicas, const PaperScale& s) {
   config.num_nodes = 4;
   config.policy = PolicyKind::kGms;
   config.seed = s.seed;
-  config.threads = s.threads;
   config.far = s.far;
   const uint32_t frames = s.Frames(4096);
   config.frames_per_node = {frames, frames * 2, frames * 2, frames * 2};

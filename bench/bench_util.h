@@ -55,36 +55,18 @@ inline void ParseTierFlags(int argc, char** argv, FarMemoryParams* far) {
   }
 }
 
-// Every bench accepts --scale=, --seed=, --threads= and the tier flags
-// (ParseTierFlags above). The default scale of 0.25 keeps a full bench run
-// to seconds while preserving every memory-pressure ratio; pass --scale=1
-// for paper-sized runs. --threads runs the simulation on the sharded
-// parallel event loop (default serial); every printed number is invariant
-// to it.
+// Every bench accepts --scale=, --seed= and the tier flags (ParseTierFlags
+// above). The default scale of 0.25 keeps a full bench run to seconds while
+// preserving every memory-pressure ratio; pass --scale=1 for paper-sized
+// runs. Multi-point benches also accept --threads=N, the size of their
+// point pool (SweepThreads, src/cluster/sweep.h): each pool thread runs one
+// whole serial cluster, and every printed number is invariant to it.
 inline PaperScale BenchScale(int argc, char** argv, double default_scale = 0.25) {
   PaperScale s;
   s.scale = FlagValue(argc, argv, "scale", default_scale);
   s.seed = static_cast<uint64_t>(FlagValue(argc, argv, "seed", 1));
-  const double threads = FlagValue(argc, argv, "threads", 1);
-  s.threads = threads >= 1 ? static_cast<uint32_t>(threads) : 1;
   ParseTierFlags(argc, argv, &s.far);
   return s;
-}
-
-// Parses --threads=N: simulator worker threads for the sharded parallel
-// event loop (ClusterConfig::threads / Simulator::ConfigureSharding). Every
-// bench defaults to serial — parallel execution is byte-identical by
-// construction (DESIGN.md, "Parallel simulation"), so --threads only changes
-// wall time, never a printed number. Distinct from SweepThreads
-// (src/cluster/sweep.h), which sizes the *outer* point pool of multi-point
-// sweeps: there each thread runs its own serial cluster, so the inner
-// simulator stays at 1 thread and the flag keeps its point-pool meaning.
-inline uint32_t BenchThreads(int argc, char** argv, uint32_t fallback = 1) {
-  const double flag = FlagValue(argc, argv, "threads", 0);
-  if (flag >= 1) {
-    return static_cast<uint32_t>(flag);
-  }
-  return fallback;
 }
 
 // Resolves one policy name through the registry or exits: unknown names are
@@ -149,7 +131,6 @@ inline uint32_t BenchEpochFanout(int argc, char** argv,
 struct EpochScaleoutResult {
   uint32_t nodes = 0;
   uint32_t fanout = 0;
-  uint32_t threads = 0;
   uint64_t epochs = 0;
   double root_summary_msgs_per_epoch = 0;
   double root_epoch_cpu_us_per_epoch = 0;
@@ -161,14 +142,12 @@ struct EpochScaleoutResult {
 // and fig7_scaleout pass per-point file names.
 inline EpochScaleoutResult RunEpochScaleout(uint32_t nodes, uint32_t fanout,
                                             uint64_t target_epochs = 3,
-                                            uint32_t threads = 1,
                                             const std::string& metrics_out = "") {
   ClusterConfig config;
   config.num_nodes = nodes;
   config.policy = PolicyKind::kGms;
   config.frames = 16;
   config.seed = 1;
-  config.threads = threads;  // parallel loop; results are thread-invariant
   config.gms.epoch.t_min = Milliseconds(200);
   config.gms.epoch.t_max = Milliseconds(400);
   config.gms.epoch.summary_timeout = Milliseconds(100);
@@ -190,7 +169,6 @@ inline EpochScaleoutResult RunEpochScaleout(uint32_t nodes, uint32_t fanout,
   EpochScaleoutResult r;
   r.nodes = nodes;
   r.fanout = fanout;
-  r.threads = threads;
   r.epochs = root->epoch_view().epoch;
   if (r.epochs > 0) {
     const double epochs = static_cast<double>(r.epochs);

@@ -10,8 +10,6 @@
 // shape is the flat column growing linearly down the table while each tree
 // column stays flat.
 //
-// --threads=N runs each cluster on the sharded parallel event loop (the
-// printed numbers are thread-invariant; only wall time changes).
 // --emit_bench_json[=path] additionally writes the whole grid as a schema-2
 // "epoch_cost" doc that tools/check_bench_regression.py gates with
 // --max-epoch-root-cost (applied to the tree points; flat points are
@@ -30,7 +28,6 @@ int main(int argc, char** argv) {
   const auto epochs = static_cast<uint64_t>(FlagValue(argc, argv, "epochs", 3));
   const auto max_nodes =
       static_cast<uint32_t>(FlagValue(argc, argv, "max_nodes", 4000));
-  const uint32_t threads = BenchThreads(argc, argv);
   std::vector<uint32_t> sizes;
   for (uint32_t n : {250u, 1000u, 2000u, 4000u, 10000u}) {
     if (n <= max_nodes) {
@@ -40,10 +37,9 @@ int main(int argc, char** argv) {
   const std::vector<uint32_t> fanouts = {0, 4, 16, 64};  // 0 = flat
 
   std::printf("=== Epoch cost at the root: summary msgs & CPU per round ===\n");
-  std::printf("(%llu rounds per point, %u sim thread%s; pass "
-              "--max_nodes=10000 for the full sweep)\n\n",
-              static_cast<unsigned long long>(epochs), threads,
-              threads == 1 ? "" : "s");
+  std::printf("(%llu rounds per point; pass --max_nodes=10000 for the full "
+              "sweep)\n\n",
+              static_cast<unsigned long long>(epochs));
   std::printf("%8s | %18s | %18s | %18s | %18s\n", "nodes", "flat", "fanout 4",
               "fanout 16", "fanout 64");
   std::printf("%8s | %10s %7s | %10s %7s | %10s %7s | %10s %7s\n", "",
@@ -60,7 +56,7 @@ int main(int argc, char** argv) {
               : metrics_prefix + "_n" + std::to_string(n) + "_f" +
                     std::to_string(fanout) + ".json";
       const EpochScaleoutResult r =
-          RunEpochScaleout(n, fanout, epochs, threads, metrics_out);
+          RunEpochScaleout(n, fanout, epochs, metrics_out);
       grid.push_back(r);
       if (r.epochs == 0) {
         std::printf(" %10s %7s |", "-", "-");
@@ -89,8 +85,8 @@ int main(int argc, char** argv) {
     }
     std::fprintf(f,
                  "{\n  \"schema\": 2,\n  \"kind\": \"epoch_cost\",\n"
-                 "  \"epochs\": %llu,\n  \"threads\": %u,\n  \"points\": [\n",
-                 static_cast<unsigned long long>(epochs), threads);
+                 "  \"epochs\": %llu,\n  \"points\": [\n",
+                 static_cast<unsigned long long>(epochs));
     for (size_t i = 0; i < grid.size(); i++) {
       const EpochScaleoutResult& r = grid[i];
       std::fprintf(f,

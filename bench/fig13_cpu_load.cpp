@@ -12,10 +12,7 @@
 
 int main(int argc, char** argv) {
   using namespace gms;
-  PaperScale s = BenchScale(argc, argv);
-  // --threads means the sweep's point pool here (one serial cluster per
-  // thread, below); inner sim sharding on top would only oversubscribe.
-  s.threads = 1;
+  const PaperScale s = BenchScale(argc, argv);
   BenchHeader("Figure 13: CPU load on the single idle node", s);
 
   TablePrinter table({"Clients", "Idle-node CPU %", "Page-transfer ops/s",

@@ -78,10 +78,8 @@ int main(int argc, char** argv) {
   // figure's 5-20 node workload runs, size only the epoch machinery — an
   // idle N-node cluster, measuring the initiator's summary traffic and CPU
   // per round. With --epoch_fanout=flat the root absorbs N-1 summaries per
-  // epoch; with a tree it absorbs ~fanout partials regardless of N. In this
-  // mode --threads=N runs the one big cluster on the sharded parallel event
-  // loop (EXPERIMENTS.md walks through the 10000-node case) — the measured
-  // epoch numbers are thread-invariant, only wall time changes. The
+  // epoch; with a tree it absorbs ~fanout partials regardless of N
+  // (EXPERIMENTS.md walks through the 10000-node case). The
   // epoch-scale-smoke CI job gates the JSON emitted by --emit_bench_json
   // through tools/check_bench_regression.py --max-epoch-root-cost.
   const auto scaleout_nodes =
@@ -90,12 +88,10 @@ int main(int argc, char** argv) {
     const uint32_t fanout = BenchEpochFanout(argc, argv, 16);
     const auto epochs =
         static_cast<uint64_t>(FlagValue(argc, argv, "epochs", 3));
-    const uint32_t threads = BenchThreads(argc, argv);
     const EpochScaleoutResult r =
-        RunEpochScaleout(scaleout_nodes, fanout, epochs, threads);
-    std::printf("=== Epoch scale-out: %u nodes, fanout %u (0 = flat), "
-                "%u sim thread%s ===\n",
-                r.nodes, r.fanout, r.threads, r.threads == 1 ? "" : "s");
+        RunEpochScaleout(scaleout_nodes, fanout, epochs);
+    std::printf("=== Epoch scale-out: %u nodes, fanout %u (0 = flat) ===\n",
+                r.nodes, r.fanout);
     std::printf("epochs completed:           %llu (%.2f sim-s)\n",
                 static_cast<unsigned long long>(r.epochs), r.sim_s);
     std::printf("root summary msgs / epoch:  %.1f\n",
@@ -116,12 +112,10 @@ int main(int argc, char** argv) {
       std::fprintf(
           f,
           "{\n  \"schema\": 2,\n  \"kind\": \"epoch_scaleout\",\n"
-          "  \"nodes\": %u,\n  \"fanout\": %u,\n  \"threads\": %u,\n"
-          "  \"epochs\": %llu,\n"
+          "  \"nodes\": %u,\n  \"fanout\": %u,\n  \"epochs\": %llu,\n"
           "  \"root_summary_msgs_per_epoch\": %.3f,\n"
           "  \"root_epoch_cpu_us_per_epoch\": %.3f,\n  \"sim_s\": %.3f\n}\n",
-          r.nodes, r.fanout, r.threads,
-          static_cast<unsigned long long>(r.epochs),
+          r.nodes, r.fanout, static_cast<unsigned long long>(r.epochs),
           r.root_summary_msgs_per_epoch, r.root_epoch_cpu_us_per_epoch,
           r.sim_s);
       std::fclose(f);
@@ -130,10 +124,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  PaperScale s = BenchScale(argc, argv);
-  // Figure mode gives --threads its sweep meaning (point pool, below), so
-  // the clusters themselves stay serial.
-  s.threads = 1;
+  const PaperScale s = BenchScale(argc, argv);
   BenchHeader("Figure 7: speedup vs number of nodes (2/5 idle, 3 workloads)",
               s);
 
@@ -142,11 +133,8 @@ int main(int argc, char** argv) {
   TablePrinter table({"Workload", "5 nodes", "10 nodes", "15 nodes",
                       "20 nodes"});
   // All 8 cluster sizes x policies are independent universes: sweep them
-  // across the thread pool. Point i = (groups i/2+1, policy i%2). In this
-  // mode --threads keeps its sweep meaning — one serial cluster per pool
-  // thread — because running 8 whole universes concurrently already uses
-  // the machine; sharding each small cluster on top would only oversubscribe
-  // it (the sharded-loop flag is the scale-out mode's --threads above).
+  // across the thread pool (--threads sizes it; one serial cluster per pool
+  // thread). Point i = (groups i/2+1, policy i%2).
   auto runs = RunSweepParallel(8, SweepThreads(argc, argv), [&s](size_t i) {
     const auto groups = static_cast<uint32_t>(i / 2 + 1);
     const PolicyKind policy = i % 2 == 0 ? PolicyKind::kNone : PolicyKind::kGms;

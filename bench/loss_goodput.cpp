@@ -29,8 +29,7 @@ struct LossResult {
 // `health_out`, when non-empty, enables the health monitor for this point
 // and writes its incident report there: rising loss should surface as
 // retry_storm/dup_spike incidents while the 0% point stays clean.
-LossResult RunAtLoss(double loss, uint32_t threads,
-                     const std::string& health_out = "",
+LossResult RunAtLoss(double loss, const std::string& health_out = "",
                      const FarMemoryParams& far = {}) {
   ClusterConfig config;
   config.far = far;
@@ -39,7 +38,6 @@ LossResult RunAtLoss(double loss, uint32_t threads,
   config.frames_per_node = {256, 320, 1024, 768};
   config.frames = 256;
   config.seed = 7;
-  config.threads = threads;  // every reported number is thread-invariant
   config.obs.health = !health_out.empty();
   config.gms.epoch.t_min = Milliseconds(200);
   config.gms.epoch.t_max = Seconds(2);
@@ -116,7 +114,6 @@ LossResult RunAtLoss(double loss, uint32_t threads,
 
 int main(int argc, char** argv) {
   using namespace gms;
-  const uint32_t threads = BenchThreads(argc, argv);
   FarMemoryParams far;
   ParseTierFlags(argc, argv, &far);
   // --health_out=PREFIX: each point writes PREFIX_l<loss pct x10>.json.
@@ -130,7 +127,7 @@ int main(int argc, char** argv) {
             ? std::string()
             : health_prefix + "_l" +
                   std::to_string(static_cast<int>(loss * 1000)) + ".json";
-    LossResult r = RunAtLoss(loss, threads, health_out, far);
+    LossResult r = RunAtLoss(loss, health_out, far);
     char label[32];
     std::snprintf(label, sizeof(label), "%.1f%%", loss * 100);
     table.AddNumericRow(label,

@@ -12,13 +12,11 @@
 #include <benchmark/benchmark.h>
 #include <sys/resource.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -299,61 +297,6 @@ HeadlineResult MeasureRoundTrip(double scale) {
   return {trips, WallSince(t0)};
 }
 
-// Sharded event throughput: the fixed chain workload — 256 contexts, each
-// running a self-rescheduling event chain with a 1 us period under a 1 ms
-// lookahead window — executed by the sharded parallel loop at `threads`
-// workers (threads=1 selects the serial fast path, so serial and parallel
-// runs of this function are the same workload and directly comparable).
-// The chain closure captures a single pointer, so rescheduling stays inside
-// std::function's inline buffer: the steady state allocates nothing, and
-// the measured figure is pure engine cost (queue ops, window math, barrier).
-struct EventChain {
-  Simulator* sim = nullptr;
-  uint64_t remaining = 0;
-  SimTime period = 0;
-  std::function<void()> fn;
-};
-
-HeadlineResult MeasureEventLoopSharded(double scale, uint32_t threads) {
-  constexpr uint32_t kChains = 256;
-  Simulator sim;
-  // One shard per worker; contexts hash-assign ~kChains/threads chains per
-  // lane. The event ORDER is identical at every thread count (DESIGN.md,
-  // "Parallel simulation") — only wall time changes.
-  sim.ConfigureSharding(kChains, threads, threads, Milliseconds(1));
-  std::vector<EventChain> chains(kChains);
-  for (uint32_t n = 0; n < kChains; n++) {
-    EventChain* c = &chains[n];
-    c->sim = &sim;
-    // Distinct per-chain periods keep the chains drifting apart instead of
-    // firing in lockstep: simultaneous events hash to the same calendar
-    // bucket, and a bucket of 256 co-timed events costs an O(256) scan per
-    // pop — that would measure a degenerate queue, not the engine.
-    c->period = Microseconds(1) + static_cast<SimTime>(4 * n);
-    c->fn = [c] {
-      if (--c->remaining > 0) {
-        c->sim->After(c->period, c->fn);
-      }
-    };
-  }
-  auto run_chains = [&](uint64_t per_chain) {
-    for (uint32_t n = 0; n < kChains; n++) {
-      chains[n].remaining = per_chain;
-      sim.AtContext(n + 1, sim.now() + chains[n].period, chains[n].fn);
-    }
-    sim.Run();
-  };
-  // Untimed warm-up: start the worker pool and let each lane's calendar
-  // queue reach its steady-state size (see MeasureEventLoop).
-  run_chains(1000);
-  const uint64_t total =
-      std::max<uint64_t>(static_cast<uint64_t>(4000000 * scale), 1000000);
-  const uint64_t before = sim.events_processed();
-  const auto t0 = std::chrono::steady_clock::now();
-  run_chains(total / kChains);
-  return {sim.events_processed() - before, WallSince(t0)};
-}
-
 // End-to-end getpage host cost: a 2-node cluster where node 0's working set
 // overflows its memory into idle node 1, so most accesses ride the full
 // fault -> GCD -> getpage -> reply path. ns/item here is host nanoseconds
@@ -398,20 +341,10 @@ void WriteBench(std::FILE* f, const char* name, const HeadlineResult& r,
 }
 
 int EmitBenchJson(const std::string& path, double scale, PolicyKind policy,
-                  uint32_t threads, const FarMemoryParams& far = {}) {
+                  const FarMemoryParams& far = {}) {
   const HeadlineResult ev = MeasureEventLoop(scale);
   const HeadlineResult rt = MeasureRoundTrip(scale);
   const HeadlineResult gp = MeasureGetPage(scale, policy, far);
-  // The sharded chain workload, serial and at `threads` workers. Same event
-  // stream both times, so the ratio is a true speedup.
-  const HeadlineResult ser = MeasureEventLoopSharded(scale, 1);
-  const HeadlineResult par = MeasureEventLoopSharded(scale, threads);
-  const double ser_rate =
-      ser.wall_s > 0 ? static_cast<double>(ser.items) / ser.wall_s : 0;
-  const double par_rate =
-      par.wall_s > 0 ? static_cast<double>(par.items) / par.wall_s : 0;
-  const double speedup = ser_rate > 0 ? par_rate / ser_rate : 0;
-  const unsigned hw = std::thread::hardware_concurrency();
 
   struct rusage ru {};
   getrusage(RUSAGE_SELF, &ru);
@@ -421,7 +354,7 @@ int EmitBenchJson(const std::string& path, double scale, PolicyKind policy,
     std::fprintf(stderr, "cannot open %s\n", path.c_str());
     return 1;
   }
-  std::fprintf(f, "{\n  \"schema\": 3,\n  \"scale\": %g,\n", scale);
+  std::fprintf(f, "{\n  \"schema\": 1,\n  \"scale\": %g,\n", scale);
   // Whether TraceEvent call sites exist in this build (GMS_TRACE). The
   // regression gate uses this to verify the tracing-disabled configuration
   // really was compiled out before holding it to the tight headline limit.
@@ -435,19 +368,9 @@ int EmitBenchJson(const std::string& path, double scale, PolicyKind policy,
   // Headline scalar the regression gate keys on.
   std::fprintf(f, "  \"events_per_sec\": %.1f,\n",
                ev.wall_s > 0 ? static_cast<double>(ev.items) / ev.wall_s : 0);
-  // The parallel loop's figure of merit: how much faster the sharded loop
-  // runs the same chain workload at `threads` workers than serially.
-  // hw_threads records the machine so the gate can skip the speedup check on
-  // undersized runners (tools/check_bench_regression.py
-  // --min-parallel-speedup).
-  std::fprintf(f,
-               "  \"parallel_event_loop\": {\"threads\": %u, "
-               "\"hw_threads\": %u, \"serial_events_per_sec\": %.1f, "
-               "\"events_per_sec\": %.1f, \"speedup_vs_serial\": %.3f},\n",
-               threads, hw, ser_rate, par_rate, speedup);
   std::fprintf(f, "  \"peak_rss_kb\": %ld,\n", ru.ru_maxrss);
   std::fprintf(f, "  \"wall_s_total\": %.6f\n}\n",
-               ev.wall_s + rt.wall_s + gp.wall_s + ser.wall_s + par.wall_s);
+               ev.wall_s + rt.wall_s + gp.wall_s);
   std::fclose(f);
   std::printf("event_loop        %10.2fM items/s  (%.1f ns/item)\n",
               ev.items / ev.wall_s / 1e6, ev.wall_s * 1e9 / ev.items);
@@ -455,12 +378,6 @@ int EmitBenchJson(const std::string& path, double scale, PolicyKind policy,
               rt.items / rt.wall_s / 1e6, rt.wall_s * 1e9 / rt.items);
   std::printf("getpage           %10.2fK ops/s    (%.0f ns/getpage)\n",
               gp.items / gp.wall_s / 1e3, gp.wall_s * 1e9 / gp.items);
-  std::printf("sharded_loop/1t   %10.2fM items/s  (%.1f ns/item)\n",
-              ser.items / ser.wall_s / 1e6, ser.wall_s * 1e9 / ser.items);
-  std::printf("sharded_loop/%ut  %10.2fM items/s  (%.1f ns/item)  "
-              "%.2fx vs serial (hw_threads=%u)\n",
-              threads, par.items / par.wall_s / 1e6,
-              par.wall_s * 1e9 / par.items, speedup, hw);
   std::printf("peak_rss_kb=%ld -> %s\n", ru.ru_maxrss, path.c_str());
   return 0;
 }
@@ -482,12 +399,11 @@ int main(int argc, char** argv) {
     // --policy swaps the replacement policy under the end-to-end getpage
     // headline; the event-loop and round-trip numbers are policy-free, so
     // comparing two runs isolates the policy's (and the virtual dispatch
-    // seam's) host cost. --threads sizes the parallel_event_loop point; the
-    // default of 4 matches the committed baseline and the CI speedup gate.
+    // seam's) host cost.
     gms::FarMemoryParams far;
     gms::ParseTierFlags(argc, argv, &far);
     return gms::EmitBenchJson(json_path, scale, gms::BenchPolicy(argc, argv),
-                              gms::BenchThreads(argc, argv, 4), far);
+                              far);
   }
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -26,6 +26,11 @@
 // regret bound) and checks expected_loss <= bound — the tournament doubles
 // as an end-to-end regret audit on real protocol-driven fault streams.
 //
+// Every cell is an independent universe, so the grid runs on the sweep pool
+// (RunSweepParallel, src/cluster/sweep.h): --threads=N sizes it (default:
+// hardware concurrency), one serial cluster per pool thread. Cells come back
+// in grid order, so stdout and the JSON doc are identical at any --threads.
+//
 // Flags: --policies=a,b,c --scenarios=x,y --scale= --seed= --threads=
 //        --json_out=FILE (schema-2 "policy_tournament" doc for
 //        tools/check_tournament.py and tools/check_bench_regression.py)
@@ -36,12 +41,15 @@
 #include <cstdio>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/cluster/chaos_scenario.h"
 #include "src/cluster/cluster.h"
+#include "src/cluster/sweep.h"
 #include "src/core/directory.h"
 #include "src/core/ensemble_policy.h"
 #include "src/workload/applications.h"
@@ -49,6 +57,16 @@
 
 namespace gms {
 namespace {
+
+struct RegretAudit {
+  std::string scenario;
+  unsigned long long references = 0;
+  double expected_loss = 0;
+  double best_expert_loss = 0;
+  double worst_expert_loss = 0;
+  double bound = 0;
+  bool ok = false;
+};
 
 struct Cell {
   std::string scenario;
@@ -59,16 +77,7 @@ struct Cell {
   unsigned long long disk_reads = 0;
   double network_mb = 0;
   double score = 0;  // best_elapsed / elapsed within the scenario
-};
-
-struct RegretAudit {
-  std::string scenario;
-  unsigned long long references = 0;
-  double expected_loss = 0;
-  double best_expert_loss = 0;
-  double worst_expert_loss = 0;
-  double bound = 0;
-  bool ok = false;
+  std::optional<RegretAudit> audit;  // ensemble cells only
 };
 
 // A scenario builds a started cluster with its workloads added (not yet
@@ -90,7 +99,8 @@ Uid Page(uint64_t inode, uint32_t page) {
 
 // --metrics_out=PREFIX: each cell's metrics registry (with a snapshot
 // series) lands in PREFIX_<scenario>_<policy>.json. Routed through file
-// scope because Scenario::build's signature is (policy, scale).
+// scope because Scenario::build's signature is (policy, scale); both are set
+// once in main() before the grid runs and only read by the cells.
 ObsConfig g_obs;
 std::string g_metrics_prefix;
 
@@ -110,7 +120,6 @@ std::unique_ptr<Cluster> MakeCluster(PolicyKind policy, const PaperScale& s,
   config.frames = frames[0];
   config.frames_per_node = std::move(frames);
   config.seed = s.seed;
-  config.threads = s.threads;
   config.far = s.far;
   config.obs = g_obs;
   auto cluster = std::make_unique<Cluster>(config);
@@ -225,7 +234,6 @@ std::vector<Scenario> AllScenarios() {
          chaos.seed = s.seed;
          chaos.loss = 0.05;
          chaos.policy = policy;
-         chaos.threads = s.threads;
          // Adds its own two workloads.
          return BuildChaosCluster(chaos, /*with_partition=*/true, g_obs);
        }});
@@ -233,8 +241,7 @@ std::vector<Scenario> AllScenarios() {
   return scenarios;
 }
 
-Cell RunCell(const Scenario& scenario, PolicyKind policy, const PaperScale& s,
-             std::vector<RegretAudit>* audits) {
+Cell RunCell(const Scenario& scenario, PolicyKind policy, const PaperScale& s) {
   std::unique_ptr<Cluster> cluster = scenario.build(policy, s);
   cluster->StartWorkloads();
   Cell cell;
@@ -251,7 +258,7 @@ Cell RunCell(const Scenario& scenario, PolicyKind policy, const PaperScale& s,
   cell.disk_reads = t.disk_reads;
   cell.network_mb = static_cast<double>(t.net_bytes) / (1 << 20);
 
-  if (policy == PolicyKind::kEnsemble && audits != nullptr) {
+  if (policy == PolicyKind::kEnsemble) {
     // The busy node's learner; every scenario drives node 0.
     if (CacheEngine* engine = cluster->cache_engine(NodeId{0})) {
       if (auto* learner = dynamic_cast<EnsemblePolicy*>(engine->policy())) {
@@ -265,7 +272,7 @@ Cell RunCell(const Scenario& scenario, PolicyKind policy, const PaperScale& s,
             learner->expert_losses().begin(), learner->expert_losses().end()));
         audit.bound = learner->RegretBound();
         audit.ok = audit.expected_loss <= audit.bound + 1e-6;
-        audits->push_back(audit);
+        cell.audit = audit;
       }
     }
   }
@@ -347,32 +354,39 @@ int main(int argc, char** argv) {
 
   BenchHeader("Policy tournament: every policy x every scenario", s);
 
-  std::vector<Cell> cells;
-  std::vector<RegretAudit> audits;
   std::printf("%-14s", "scenario");
   for (const PolicyKind policy : policies) {
     std::printf(" %10s", PolicyName(policy));
   }
   std::printf("   (elapsed seconds; * = scenario winner)\n");
-  for (const Scenario& scenario : scenarios) {
-    std::vector<Cell> row;
-    for (const PolicyKind policy : policies) {
-      row.push_back(RunCell(scenario, policy, s, &audits));
-    }
+  std::fflush(stdout);
+  // Cell i = (scenario i / P, policy i % P): row-major, one row per scenario.
+  const size_t num_policies = policies.size();
+  std::vector<Cell> cells = RunSweepParallel(
+      scenarios.size() * num_policies, SweepThreads(argc, argv),
+      [&](size_t i) {
+        return RunCell(scenarios[i / num_policies], policies[i % num_policies],
+                       s);
+      });
+  std::vector<RegretAudit> audits;
+  for (size_t r = 0; r < scenarios.size(); r++) {
+    const std::span<Cell> row(cells.data() + r * num_policies, num_policies);
     double best = 0;
     for (const Cell& cell : row) {
       if (cell.elapsed_s > 0 && (best == 0 || cell.elapsed_s < best)) {
         best = cell.elapsed_s;
       }
     }
-    std::printf("%-14s", scenario.name);
+    std::printf("%-14s", scenarios[r].name);
     for (Cell& cell : row) {
       cell.score = cell.elapsed_s > 0 ? best / cell.elapsed_s : 0;
       std::printf(" %9.1f%s", cell.elapsed_s,
                   cell.elapsed_s == best ? "*" : " ");
-      cells.push_back(cell);
+      if (cell.audit) {
+        audits.push_back(*cell.audit);
+      }
     }
-    std::printf("  %s\n", scenario.blurb);
+    std::printf("  %s\n", scenarios[r].blurb);
   }
 
   // League: mean score across scenarios, outright wins as the color.

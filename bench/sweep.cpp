@@ -9,14 +9,7 @@
 // Flags:
 //   --seeds=N       seeds per loss rate (default 10)
 //   --threads=N     point-pool worker threads (default: hardware concurrency;
-//                   1 = serial). Outer parallelism: one whole cluster per
-//                   thread.
-//   --sim_threads=N sharded-event-loop threads *inside* each cluster
-//                   (default 1). Inner parallelism: per-point dump hashes are
-//                   invariant to it (the parallel identity tests pin this),
-//                   so it exists here to soak the parallel engine under
-//                   chaos, not to speed the sweep up — for throughput prefer
-//                   --threads, which scales without oversubscribing.
+//                   1 = serial). One whole serial cluster per thread.
 //   --policy=NAME   replacement policy (gms, nchance, local, lfu; default
 //                   gms). The cluster invariant checker asserts GMS protocol
 //                   state, so other policies check completion/quiescence
@@ -84,24 +77,19 @@ int main(int argc, char** argv) {
   using namespace gms;
   const auto seeds = static_cast<uint64_t>(FlagValue(argc, argv, "seeds", 10));
   const unsigned threads = SweepThreads(argc, argv);
-  const auto sim_threads =
-      static_cast<uint32_t>(FlagValue(argc, argv, "sim_threads", 1));
   const PolicyKind policy = BenchPolicy(argc, argv);
 
   std::vector<ChaosCase> points;
   for (uint64_t seed = 1; seed <= seeds; seed++) {
     for (double loss : kLossRates) {
-      ChaosCase chaos{seed, loss, policy};
-      chaos.threads = sim_threads;
-      points.push_back(chaos);
+      points.push_back(ChaosCase{seed, loss, policy});
     }
   }
   std::printf("=== Chaos soak sweep [%s]: %zu points (%llu seeds x %zu loss "
-              "rates), %u thread%s x %u sim thread%s ===\n",
+              "rates), %u thread%s ===\n",
               PolicyName(policy), points.size(),
               static_cast<unsigned long long>(seeds), std::size(kLossRates),
-              threads, threads == 1 ? "" : "s", sim_threads,
-              sim_threads == 1 ? "" : "s");
+              threads, threads == 1 ? "" : "s");
 
   const auto start = std::chrono::steady_clock::now();
   std::vector<SoakResult> results = RunSweepParallel(

@@ -100,7 +100,6 @@ int main(int argc, char** argv) {
   config.policy = PolicyKind::kGms;
   config.frames = 2048;
   config.seed = s.seed;
-  config.threads = BenchThreads(argc, argv);  // measured latencies invariant
   ApplyObsFlags(argc, argv, &config.obs);
   ApplyTierFlags(argc, argv, &config);
   Cluster cluster(config);

@@ -22,7 +22,6 @@ double RunCase(PolicyKind policy, bool sequential, const PaperScale& s) {
   config.num_nodes = 2;
   config.policy = policy;
   config.seed = s.seed;
-  config.threads = s.threads;
   config.far = s.far;
   const uint32_t frames = s.Frames();
   const uint64_t footprint = frames * 2;

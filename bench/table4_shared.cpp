@@ -29,7 +29,6 @@ double RunCase(Scenario scenario, bool sequential, const PaperScale& s) {
 
   ClusterConfig config;
   config.seed = s.seed;
-  config.threads = s.threads;
   config.far = s.far;
   const NodeId client{0};
   const NodeId server{1};

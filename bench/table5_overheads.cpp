@@ -30,7 +30,6 @@ EpochCost MeasureEpoch(uint32_t n, const PaperScale& s) {
   config.policy = PolicyKind::kGms;
   config.frames = 8192 + 2048 + 64;
   config.seed = s.seed;
-  config.threads = s.threads;
   config.far = s.far;
   // One epoch only inside the measurement window.
   config.gms.epoch.t_min = Seconds(60);

@@ -16,7 +16,7 @@
 //   --trace_out=FILE event trace of the middle capacity point, for the
 //                    trace_spans per-tier decomposition (EXPERIMENTS.md)
 //   --far_mem_lat=US override the far tier's fixed latency for every point
-//   --scale/--seed/--threads  as every bench (bench_util.h)
+//   --scale/--seed   as every bench (bench_util.h)
 //
 // The run ends with the dynamic-capacity chaos case: the standard 4-node
 // chaos universe with a fluctuating far tier (ChaosCase::far_fluctuate) under
@@ -65,7 +65,6 @@ SweepPoint RunPoint(uint64_t far_frames, const PaperScale& s,
   config.num_nodes = 4;
   config.policy = PolicyKind::kGms;
   config.seed = s.seed;
-  config.threads = s.threads;
   config.frames = frames;
   config.far = s.far;  // --far_mem_lat override rides along
   config.far.capacity_pages = far_frames;
@@ -143,7 +142,6 @@ ChaosCheck RunChaosCase(const PaperScale& s, uint64_t far_frames) {
   ChaosCase chaos;
   chaos.seed = s.seed;
   chaos.loss = 0.02;
-  chaos.threads = s.threads;
   chaos.far_frames = far_frames;
   chaos.far_fluctuate = true;
 

@@ -40,7 +40,6 @@ int main(int argc, char** argv) {
   config.policy = BenchPolicy(argc, argv);
   std::printf("policy=%s\n", PolicyName(config.policy));
   config.seed = s.seed;
-  config.threads = s.threads;
   const uint32_t frames = s.Frames(1024);
   // Node 0 is the active workstation; peers hold idle memory.
   config.frames = frames * 2;

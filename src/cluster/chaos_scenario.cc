@@ -10,8 +10,7 @@ namespace {
 
 // Re-arms itself every 100 ms, toggling the node's far capacity between the
 // full size and half of it. Scheduled inside the node's simulation context so
-// the evictions it triggers keep their deterministic order under the sharded
-// (parallel) event loop.
+// the evictions it triggers are ordered with the node's own events.
 void ArmFarFluctuation(Cluster* cluster, NodeId node, uint64_t full,
                        uint32_t tick) {
   Simulator& sim = cluster->sim();
@@ -39,8 +38,6 @@ std::unique_ptr<Cluster> BuildChaosCluster(const ChaosCase& chaos,
   config.frames_per_node = {256, 320, 1024, 768};
   config.frames = 256;
   config.seed = chaos.seed;
-  config.threads = chaos.threads;
-  config.sim_shards = chaos.sim_shards;
   config.gms.epoch.t_min = Milliseconds(200);
   config.gms.epoch.t_max = Seconds(2);
   config.gms.epoch.m_min = 16;

@@ -23,11 +23,6 @@ struct ChaosCase {
   // summary tree under the same fault injection — dropped/duplicated
   // partials, crashed interior aggregators, straggler timeouts.
   uint32_t epoch_fanout = 0;
-  // Parallel simulation controls forwarded to ClusterConfig. The chaos
-  // digests and stats dumps are invariant to both — that is what the
-  // parallel identity tests pin.
-  uint32_t threads = 1;
-  uint32_t sim_shards = 0;
   // Far-memory tier per node (pages; 0 = no tier, the two-level original —
   // and the dump stays byte-identical to the pre-hierarchy format).
   uint64_t far_frames = 0;

@@ -22,22 +22,6 @@ uint64_t MixSeed(uint64_t seed, uint64_t salt) {
 
 Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
   assert(config_.num_nodes >= 1);
-  // Sharding is configured before any subsystem exists: the network sizes
-  // its per-lane stats off lane_count(), and no event may be scheduled
-  // earlier. The lookahead is the network's fixed propagation floor — every
-  // cross-node interaction goes through the network and fault injection only
-  // adds delay, so no event can cross shards in less than this.
-  uint32_t shards = config_.sim_shards != 0
-                        ? config_.sim_shards
-                        : (config_.threads > 1 ? config_.threads : 1);
-  if (shards > config_.num_nodes) {
-    shards = config_.num_nodes;
-  }
-  if (config_.net.fixed_latency <= 0) {
-    shards = 1;  // no latency floor => no conservative lookahead window
-  }
-  sim_.ConfigureSharding(config_.num_nodes, shards, config_.threads,
-                         config_.net.fixed_latency);
   if (config_.obs.trace && kTraceCompiledIn) {
     tracer_ = std::make_unique<Tracer>(config_.num_nodes,
                                        config_.obs.trace_ring_capacity);

@@ -57,15 +57,6 @@ struct ClusterConfig {
   uint64_t seed = 1;
   ObsConfig obs;
 
-  // Parallel simulation (src/sim/simulator.h; DESIGN.md, "Parallel
-  // simulation"). `threads` worker threads execute the sharded event loop;
-  // `sim_shards` is the number of node shards (0 = auto: one per thread when
-  // threads > 1, else 1). The cluster always configures context sharding —
-  // even the serial default — so the event order, and therefore every trace
-  // digest and stats dump, is byte-identical at every thread/shard count.
-  uint32_t threads = 1;
-  uint32_t sim_shards = 0;
-
   // Frames per node; 8192 = the paper's 64 MB workstations. Override single
   // nodes via frames_per_node.
   uint32_t frames = 8192;

@@ -47,7 +47,6 @@ ClusterConfig PaperConfig(PolicyKind policy, uint32_t num_nodes,
   config.policy = policy;
   config.seed = s.seed;
   config.frames = s.Frames();
-  config.threads = s.threads;
   config.far = s.far;
   return config;
 }

@@ -18,13 +18,6 @@ namespace gms {
 struct PaperScale {
   double scale = 0.25;
   uint64_t seed = 1;
-  // Simulator worker threads (--threads=N, default serial): PaperConfig
-  // forwards this to ClusterConfig::threads, so every experiment helper runs
-  // on the sharded parallel event loop when asked. Results are byte-identical
-  // at every thread count; only wall time changes. Sweep-based benches that
-  // give --threads its point-pool meaning reset this to 1 to avoid
-  // oversubscription.
-  uint32_t threads = 1;
   // Far-memory tier settings parsed from --tiering / --far_mem_frames /
   // --far_mem_lat (bench_util.h ParseTierFlags); PaperConfig copies this
   // into ClusterConfig::far, so every experiment helper accepts the

@@ -60,9 +60,9 @@ class FarMemoryTier final : public BackingTier {
   }
 
   // Shrinks (or grows) the tier mid-run, evicting LRU entries down to the
-  // new bound — the dynamic-capacity adversary of the tier chaos case. Must
-  // be called from the owning node's simulation context so eviction order
-  // stays deterministic under the sharded event loop.
+  // new bound — the dynamic-capacity adversary of the tier chaos case. Call
+  // it from the owning node's simulation context so the evictions are
+  // ordered with the node's own events.
   void SetCapacity(uint64_t pages);
 
   uint64_t resident_pages() const { return index_.size(); }

@@ -27,12 +27,7 @@ uint64_t MixFaultSeed(uint64_t seed, uint64_t salt) {
 }  // namespace
 
 Network::Network(Simulator* sim, uint32_t num_nodes, NetworkParams params)
-    : sim_(sim), params_(params), endpoints_(num_nodes),
-      lane_stats_(sim->lane_count()), merged_types_(kMaxTypes) {
-  for (LaneStats& ls : lane_stats_) {
-    ls.type_traffic.resize(kMaxTypes);
-  }
-}
+    : sim_(sim), params_(params), endpoints_(num_nodes) {}
 
 void Network::Attach(NodeId node, DatagramHandler handler) {
   endpoints_.at(node.value).handler = std::move(handler);
@@ -45,8 +40,8 @@ SimTime Network::TransferLatency(uint32_t bytes) const {
 void Network::EnableFaultInjection(uint64_t seed) {
   faults_enabled_ = true;
   // One stream per source node: a node's fault draws depend only on its own
-  // send history, never on how concurrent senders interleave — required for
-  // shard-count invariance, and it removes cross-node fault correlation.
+  // send history, never on other nodes' traffic, so faults are not
+  // correlated across nodes.
   fault_rngs_.clear();
   fault_rngs_.reserve(endpoints_.size());
   for (uint32_t src = 0; src < endpoints_.size(); ++src) {
@@ -92,16 +87,15 @@ bool Network::Partitioned(NodeId src, NodeId dst) const {
 }
 
 void Network::ScheduleDelivery(Datagram&& dgram, SimTime arrival) {
-  CurrentLaneStats().in_flight_delta++;
+  in_flight_++;
   const uint32_t dst_ctx = dgram.dst.value + 1;
   auto deliver = [this, dgram = std::move(dgram)]() mutable {
-    LaneStats& ls = CurrentLaneStats();
-    ls.in_flight_delta--;
+    in_flight_--;
     Endpoint& dst = endpoints_[dgram.dst.value];
     if (!dst.up || !dst.handler) {
       // Went down (or was never attached) while the message was on the
       // wire; sender-side timeouts recover.
-      ls.fault_stats.drops_dst_down.Add(dgram.bytes);
+      fault_stats_.drops_dst_down.Add(dgram.bytes);
       return;
     }
     dst.rx.Add(dgram.bytes);
@@ -110,10 +104,7 @@ void Network::ScheduleDelivery(Datagram&& dgram, SimTime arrival) {
   // A delivery closure must stay inline in the event queue: this is the
   // per-message hot path.
   static_assert(EventFn::kFitsInline<decltype(deliver)>);
-  // Delivery executes in the destination node's context (its shard's lane);
-  // arrival >= now + fixed_latency >= the current window bound, so a
-  // cross-shard handoff is always conservative-safe. On an unconfigured
-  // simulator this is a plain At().
+  // Delivery executes in the destination node's context.
   sim_->AtContext(dst_ctx, arrival, std::move(deliver));
 }
 
@@ -125,9 +116,8 @@ void Network::Send(Datagram dgram) {
     std::abort();
   }
   Endpoint& src = endpoints_[dgram.src.value];
-  LaneStats& ls = CurrentLaneStats();
   if (!src.up) {
-    ls.fault_stats.sends_blocked_src_down.Add(dgram.bytes);
+    fault_stats_.sends_blocked_src_down.Add(dgram.bytes);
     return;
   }
   // The switch drops traffic for a down port immediately; a node that comes
@@ -135,8 +125,8 @@ void Network::Send(Datagram dgram) {
   if (!endpoints_[dgram.dst.value].up) {
     if (dgram.src != dgram.dst) {
       src.tx.Add(dgram.bytes);
-      ls.total_traffic.Add(dgram.bytes);
-      ls.fault_stats.drops_dst_down.Add(dgram.bytes);
+      total_traffic_.Add(dgram.bytes);
+      fault_stats_.drops_dst_down.Add(dgram.bytes);
     }
     return;
   }
@@ -144,10 +134,9 @@ void Network::Send(Datagram dgram) {
   if (dgram.src == dgram.dst) {
     // Loopback: no wire, no latency, immune to fault injection, but still
     // delivered asynchronously so handlers never re-enter their caller.
-    // Self-sends stay on the sender's own lane.
-    ls.in_flight_delta++;
+    in_flight_++;
     auto loopback = [this, dgram = std::move(dgram)]() mutable {
-      CurrentLaneStats().in_flight_delta--;
+      in_flight_--;
       Endpoint& dst = endpoints_[dgram.dst.value];
       if (dst.up && dst.handler) {
         dst.handler(std::move(dgram));
@@ -159,9 +148,9 @@ void Network::Send(Datagram dgram) {
   }
 
   src.tx.Add(dgram.bytes);
-  ls.total_traffic.Add(dgram.bytes);
+  total_traffic_.Add(dgram.bytes);
   if (dgram.type < kMaxTypes) {
-    ls.type_traffic[dgram.type].Add(dgram.bytes);
+    type_traffic_[dgram.type].Add(dgram.bytes);
   }
   // Traced exactly where tx accounting happens, so a trace-derived traffic
   // curve (tools/trace_stats.py) agrees with the Figure 11 byte counters.
@@ -173,7 +162,7 @@ void Network::Send(Datagram dgram) {
   if (Partitioned(dgram.src, dgram.dst)) {
     const SimTime serialize = params_.egress_per_byte * dgram.bytes;
     src.egress_free_at = std::max(sim_->now(), src.egress_free_at) + serialize;
-    ls.fault_stats.drops_partition.Add(dgram.bytes);
+    fault_stats_.drops_partition.Add(dgram.bytes);
     return;
   }
 
@@ -194,30 +183,29 @@ void Network::Send(Datagram dgram) {
     if (spec.active()) {
       // Fixed draw order on the sender's own stream keeps runs reproducible
       // regardless of which probabilities are zero — and independent of
-      // other nodes' traffic. Every fault only *adds* latency, so the
-      // fixed_latency floor (the simulator's lookahead) still holds.
+      // other nodes' traffic.
       Rng& rng = fault_rngs_[dgram.src.value];
       if (rng.NextBool(spec.drop)) {
-        ls.fault_stats.drops_injected.Add(dgram.bytes);
+        fault_stats_.drops_injected.Add(dgram.bytes);
         return;
       }
       if (spec.delay_jitter > 0) {
         const SimTime extra = static_cast<SimTime>(
             rng.NextBelow(static_cast<uint64_t>(spec.delay_jitter) + 1));
         if (extra > 0) {
-          ls.fault_stats.delays_injected.Add(dgram.bytes);
+          fault_stats_.delays_injected.Add(dgram.bytes);
           arrival += extra;
         }
       }
       if (rng.NextBool(spec.reorder)) {
         // Hold the message back long enough that back-to-back traffic on the
         // same link overtakes it.
-        ls.fault_stats.reorders_injected.Add(dgram.bytes);
+        fault_stats_.reorders_injected.Add(dgram.bytes);
         arrival += TransferLatency(dgram.bytes) *
                    static_cast<SimTime>(1 + rng.NextBelow(3));
       }
       if (rng.NextBool(spec.duplicate)) {
-        ls.fault_stats.duplicates_injected.Add(dgram.bytes);
+        fault_stats_.duplicates_injected.Add(dgram.bytes);
         const SimTime skew = static_cast<SimTime>(
             rng.NextBelow(static_cast<uint64_t>(params_.fixed_latency) + 1));
         ScheduleDelivery(Datagram(dgram), arrival + skew);
@@ -244,57 +232,12 @@ const Counter& Network::node_rx(NodeId node) const {
   return endpoints_.at(node.value).rx;
 }
 
-uint64_t Network::in_flight() const {
-  int64_t total = 0;
-  for (const LaneStats& ls : lane_stats_) {
-    total += ls.in_flight_delta;
-  }
-  assert(total >= 0);
-  return static_cast<uint64_t>(total);
-}
-
-const Counter& Network::total_traffic() const {
-  merged_total_ = Counter{};
-  for (const LaneStats& ls : lane_stats_) {
-    merged_total_.Merge(ls.total_traffic);
-  }
-  return merged_total_;
-}
-
-const Counter& Network::type_traffic(uint32_t type) const {
-  Counter& out = merged_types_.at(type);
-  out = Counter{};
-  for (const LaneStats& ls : lane_stats_) {
-    out.Merge(ls.type_traffic[type]);
-  }
-  return out;
-}
-
-const NetworkFaultStats& Network::fault_stats() const {
-  merged_faults_ = NetworkFaultStats{};
-  for (const LaneStats& ls : lane_stats_) {
-    const NetworkFaultStats& f = ls.fault_stats;
-    merged_faults_.sends_blocked_src_down.Merge(f.sends_blocked_src_down);
-    merged_faults_.drops_dst_down.Merge(f.drops_dst_down);
-    merged_faults_.drops_partition.Merge(f.drops_partition);
-    merged_faults_.drops_injected.Merge(f.drops_injected);
-    merged_faults_.duplicates_injected.Merge(f.duplicates_injected);
-    merged_faults_.reorders_injected.Merge(f.reorders_injected);
-    merged_faults_.delays_injected.Merge(f.delays_injected);
-  }
-  return merged_faults_;
-}
-
 void Network::ResetStats() {
-  for (LaneStats& ls : lane_stats_) {
-    // in_flight_delta survives a reset: it tracks live messages, not
-    // accumulated traffic.
-    ls.total_traffic = Counter{};
-    for (auto& c : ls.type_traffic) {
-      c = Counter{};
-    }
-    ls.fault_stats = NetworkFaultStats{};
-  }
+  // in_flight_ survives a reset: it tracks live messages, not accumulated
+  // traffic.
+  total_traffic_ = Counter{};
+  type_traffic_ = {};
+  fault_stats_ = NetworkFaultStats{};
   for (auto& e : endpoints_) {
     e.tx = Counter{};
     e.rx = Counter{};

@@ -30,21 +30,14 @@
 // logic), so a Datagram is one contiguous value with no per-message heap
 // allocation.
 //
-// Parallel simulation: on a sharded simulator (Simulator::ConfigureSharding)
-// the network is the only cross-shard channel — a delivery is scheduled into
-// the destination node's context via AtContext, and the fixed_latency floor
-// is exactly the simulator's conservative lookahead (faults only add delay),
-// so an arrival always lands at or beyond the current window bound. All
-// fabric-wide accounting written on the send/deliver hot path (total and
-// per-type traffic, fault stats, the in-flight count) is sharded per
-// simulator lane and merged on read; per-endpoint state is written only by
-// its owning node's context (or by exclusive control events). Fault draws
-// come from one RNG stream per *source node*, so a node's fault sequence is
-// a pure function of its own send history — independent of how nodes are
-// grouped into shards.
+// Each delivery runs in the destination node's simulation context
+// (Simulator::AtContext). Fault draws come from one RNG stream per *source
+// node*, so a node's fault sequence is a pure function of its own send
+// history, not of other nodes' traffic.
 #ifndef SRC_NET_NETWORK_H_
 #define SRC_NET_NETWORK_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
@@ -167,18 +160,18 @@ class Network {
   // Datagrams handed to delivery events that have not yet fired (or been
   // dropped). Zero means no message is in flight — the network half of a
   // cluster quiesce.
-  uint64_t in_flight() const;
+  uint64_t in_flight() const { return in_flight_; }
 
   // --- accounting ---
-  // (Merged over the per-lane shards on every call; the returned reference
-  // stays valid until the next call. Read outside parallel windows.)
-  const Counter& total_traffic() const;
+  const Counter& total_traffic() const { return total_traffic_; }
   const Counter& node_tx(NodeId node) const;
   const Counter& node_rx(NodeId node) const;
   // Per-type counters (indexed by Datagram::type, up to kMaxTypes).
   static constexpr uint32_t kMaxTypes = 32;
-  const Counter& type_traffic(uint32_t type) const;
-  const NetworkFaultStats& fault_stats() const;
+  const Counter& type_traffic(uint32_t type) const {
+    return type_traffic_.at(type);
+  }
+  const NetworkFaultStats& fault_stats() const { return fault_stats_; }
   void ResetStats();
 
   // Observability: every transmitted (non-loopback) datagram is traced as a
@@ -195,43 +188,23 @@ class Network {
     Counter rx;
   };
 
-  // Fabric-wide accounting written on the send/deliver hot path, sharded by
-  // the simulator lane doing the writing so parallel windows never touch a
-  // shared line. in_flight is a signed delta (a message can be sent on one
-  // lane and delivered on another); the sum over lanes is the true count.
-  struct alignas(64) LaneStats {
-    int64_t in_flight_delta = 0;
-    Counter total_traffic;
-    NetworkFaultStats fault_stats;
-    std::vector<Counter> type_traffic;  // kMaxTypes entries
-  };
-
   const FaultSpec& FaultsFor(NodeId src, NodeId dst) const;
   void ScheduleDelivery(Datagram&& dgram, SimTime arrival);
-  LaneStats& CurrentLaneStats() {
-    // One lane means an unsharded simulator — every bench's serial reference
-    // and most tests. Skip the current-lane query (an atomic phase check
-    // plus two dependent loads) on that per-message path.
-    return lane_stats_.size() == 1 ? lane_stats_[0]
-                                   : lane_stats_[sim_->current_lane_index()];
-  }
 
   Simulator* sim_;
   NetworkParams params_;
   Tracer* tracer_ = nullptr;
   std::vector<Endpoint> endpoints_;
-  std::vector<LaneStats> lane_stats_;  // indexed by simulator lane
+  uint64_t in_flight_ = 0;
+  Counter total_traffic_;
+  std::array<Counter, kMaxTypes> type_traffic_;
+  NetworkFaultStats fault_stats_;
 
   bool faults_enabled_ = false;
   std::vector<Rng> fault_rngs_;  // one stream per source node
   FaultSpec default_faults_;
   std::unordered_map<uint64_t, FaultSpec> link_faults_;  // (src<<32)|dst
   uint32_t next_partition_bit_ = 0;
-
-  // Merge-on-read caches backing the const& accessors.
-  mutable Counter merged_total_;
-  mutable std::vector<Counter> merged_types_;
-  mutable NetworkFaultStats merged_faults_;
 };
 
 }  // namespace gms

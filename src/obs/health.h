@@ -15,8 +15,8 @@
 // Sample() path is allocation-free. Every firing appends a HealthIncident to
 // a capacity-reserved vector, records a kHealthIncident trace record (so
 // incidents land in the Perfetto timeline as instant events), and is a pure
-// function of the sampled values — serial and parallel (--threads=N) runs
-// produce byte-identical reports.
+// function of the sampled values — two runs of the same universe produce
+// byte-identical reports.
 //
 // Detection rules come in three streaming shapes, reused by the detectors:
 //   * ThresholdRule      — level crossing with hysteresis (fire once per

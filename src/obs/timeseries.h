@@ -11,7 +11,7 @@
 //
 // Everything here is a pure function of the pushed samples: identical sample
 // streams produce identical statistics, so detectors built on top inherit
-// the simulator's serial-vs-parallel byte-identity.
+// the simulator's run-to-run byte-identity.
 #ifndef SRC_OBS_TIMESERIES_H_
 #define SRC_OBS_TIMESERIES_H_
 

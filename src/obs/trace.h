@@ -23,7 +23,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -166,9 +165,8 @@ static_assert(sizeof(TraceFileHeader) == 24, "trace header is the wire format");
 // Running digest of a record stream: FNV-1a over raw record bytes in stream
 // order, plus the record count. The tracer keeps one digest per node ring —
 // each a pure function of that node's own record sequence — and combines
-// them in node order on read, so the combined digest is independent of both
-// the ring capacity (which only changes how flushes interleave) and the
-// parallel window schedule (nodes fill their rings concurrently). Two runs
+// them in node order on read, so the combined digest is independent of the
+// ring capacity (which only changes how flushes interleave). Two runs
 // with equal digests produced byte-identical per-node traces.
 struct TraceDigest {
   uint64_t fnv1a = 14695981039346656037ULL;  // FNV-1a 64 offset basis
@@ -268,9 +266,7 @@ class Tracer {
   }
 
  private:
-  // Cache-line aligned: on a sharded simulator, nodes on different worker
-  // threads record into their rings concurrently.
-  struct alignas(64) Ring {
+  struct Ring {
     std::vector<TraceRecord> buf;
     size_t used = 0;
     TraceDigest digest;  // this node's flushed stream
@@ -283,7 +279,6 @@ class Tracer {
   std::vector<uint32_t> span_seq_;   // per-node span id counters
   bool enabled_ = false;
   std::FILE* file_ = nullptr;
-  std::mutex file_mu_;  // a full ring can flush from any worker thread
   mutable TraceDigest combined_;  // merge-on-read cache backing digest()
 };
 

@@ -14,10 +14,9 @@
 //
 // Ordering: events are totally ordered by (time, stamp). The stamp is an
 // *intrinsic* key assigned by the simulator — the creating context's id in
-// the high bits, a monotone counter below — so the extracted order is a pure
-// function of what each context did, never of how contexts interleaved on
-// host threads. That is what lets the sharded parallel engine
-// (src/sim/simulator.h) reproduce the serial event order bit for bit.
+// the high bits, a monotone counter below (src/sim/simulator.h) — so
+// same-time events run in context order, and in creation order within one
+// context.
 //
 // Pop scans buckets from the current position for an event inside the
 // current "year" window; when a full rotation finds nothing (the queue is
@@ -39,20 +38,6 @@
 #include "src/sim/inline_fn.h"
 
 namespace gms {
-
-// Total order over pending events: (time, stamp) lexicographic. Stamps are
-// unique per simulation, so the order is strict.
-struct EventKey {
-  SimTime time;
-  uint64_t stamp;
-
-  friend bool operator<(const EventKey& a, const EventKey& b) {
-    if (a.time != b.time) {
-      return a.time < b.time;
-    }
-    return a.stamp < b.stamp;
-  }
-};
 
 struct SimEvent {
   SimTime time;
@@ -112,16 +97,6 @@ class CalendarQueue {
       Locate();
     }
     return buckets_[cur_bucket_][min_idx_].time;
-  }
-
-  // Full (time, stamp) key of the earliest event. Requires !empty(). Used by
-  // the sharded engine to bound a window by an exact event key.
-  EventKey MinKey() {
-    if (!located_) {
-      Locate();
-    }
-    const SimEvent& e = buckets_[cur_bucket_][min_idx_];
-    return EventKey{e.time, e.stamp};
   }
 
   // Header of a popped event (the closure travels separately).

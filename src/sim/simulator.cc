@@ -1,378 +1,75 @@
 #include "src/sim/simulator.h"
 
-#include <algorithm>
-#include <cassert>
 #include <utility>
 
 namespace gms {
 
-namespace {
-
-// Hash-assigns a node to a worker shard: the same splitmix64-style finalizer
-// the sharded GCD uses to spread uids over buckets (Pod::GcdNodeFor), so
-// shard load balance has the same character as directory load balance.
-uint32_t ShardOf(uint32_t node, uint32_t shards) {
-  uint64_t x = node + 0x9e3779b97f4a7c15ull;
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ull;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebull;
-  x ^= x >> 31;
-  return static_cast<uint32_t>(x % shards);
-}
-
-}  // namespace
-
-thread_local Simulator::Lane* Simulator::tls_lane_ = nullptr;
-thread_local uint32_t Simulator::tls_ctx_ = 0;
-
-Simulator::Simulator() {
-  lanes_.push_back(std::make_unique<Lane>(0));
-  cur_lane_ = lanes_[0].get();
-}
-
-Simulator::~Simulator() {
-  if (!workers_.empty()) {
-    {
-      std::lock_guard<std::mutex> lk(pool_mu_);
-      pool_shutdown_ = true;
-    }
-    work_cv_.notify_all();
-    for (std::thread& t : workers_) {
-      t.join();
-    }
-  }
-}
-
-void Simulator::ConfigureSharding(uint32_t num_nodes, uint32_t shards,
-                                  uint32_t threads, SimTime lookahead) {
-  assert(lanes_.size() == 1 && lanes_[0]->queue.empty() &&
-         lanes_[0]->processed == 0 && "configure before scheduling events");
-  assert(shards >= 1);
-  assert((shards == 1 || lookahead > 0) &&
-         "parallel windows need a positive cross-context latency floor");
-  shards_ = shards;
-  threads_ = threads > 0 ? threads : 1;
-  lookahead_ = lookahead;
-  lane_of_ctx_.assign(num_nodes + 1, 0);  // ctx 0 (control) stays on lane 0
-  if (shards > 1) {
-    for (uint32_t s = 0; s < shards; ++s) {
-      lanes_.push_back(std::make_unique<Lane>(s + 1));
-    }
-    for (uint32_t node = 0; node < num_nodes; ++node) {
-      lane_of_ctx_[node + 1] = 1 + ShardOf(node, shards);
-    }
-    for (auto& lane : lanes_) {
-      lane->outbox.resize(lanes_.size());
-    }
-  }
-  cur_lane_ = lanes_[0].get();
-}
-
 void Simulator::At(SimTime t, EventFn fn) {
-  const Exec e = CurrentExec();
-  assert(t >= e.lane->now);
-  e.lane->queue.Push(t, MakeStamp(*e.lane, e.ctx), 0, e.ctx, std::move(fn));
+  assert(t >= now_);
+  queue_.Push(t, MakeStamp(), 0, cur_ctx_, std::move(fn));
 }
 
 void Simulator::After(SimTime delay, EventFn fn) {
   assert(delay >= 0);
-  const Exec e = CurrentExec();
-  e.lane->queue.Push(e.lane->now + delay, MakeStamp(*e.lane, e.ctx), 0, e.ctx,
-                     std::move(fn));
+  queue_.Push(now_ + delay, MakeStamp(), 0, cur_ctx_, std::move(fn));
 }
 
 TimerId Simulator::ScheduleTimer(SimTime delay, EventFn fn) {
   assert(delay >= 0);
-  const Exec e = CurrentExec();
-  assert(e.lane->next_timer + 1 < (1ull << 48));
-  const TimerId id =
-      (static_cast<uint64_t>(e.lane->index) << 48) | ++e.lane->next_timer;
-  e.lane->queue.Push(e.lane->now + delay, MakeStamp(*e.lane, e.ctx), id, e.ctx,
-                     std::move(fn));
+  const TimerId id = ++next_timer_;
+  queue_.Push(now_ + delay, MakeStamp(), id, cur_ctx_, std::move(fn));
   return id;
 }
 
 void Simulator::CancelTimer(TimerId id) {
-  if (id == 0) {
-    return;
+  if (id != 0) {
+    cancelled_.Insert(id);
   }
-  Lane& owner = *lanes_[id >> 48];
-  // Inside a window, only the lane that armed the timer may cancel it
-  // (cancellation sets are not synchronized); control events cancel freely.
-  assert(!mt_phase_.load(std::memory_order_relaxed) || &owner == tls_lane_);
-  owner.cancelled.Insert(id);
 }
 
 void Simulator::AtContext(uint32_t ctx, SimTime t, EventFn fn) {
-  const Exec e = CurrentExec();
-  if (!contexts_configured()) {
-    // Unconfigured: ctx is ignored, push straight to the single lane. This
-    // mirrors At() rather than calling it so the closure is not relocated
-    // an extra time through the by-value parameter — Send() routes every
-    // datagram delivery here, making this the per-message hot path.
-    assert(t >= e.lane->now);
-    e.lane->queue.Push(t, MakeStamp(*e.lane, e.ctx), 0, e.ctx, std::move(fn));
-    return;
-  }
-  assert(ctx < lane_of_ctx_.size());
-  Lane& dst = *lanes_[lane_of_ctx_[ctx]];
-  const uint64_t stamp = MakeStamp(*e.lane, e.ctx);
-  if (&dst != e.lane && in_round_) {
-    // Cross-lane during a round: mailbox handoff, drained at the barrier.
-    // The conservative guarantee — the event lands at or beyond the window
-    // bound, so no lane's current window can need it.
-    assert(t >= window_bound_time_);
-    e.lane->outbox[dst.index].emplace_back(t, stamp, uint64_t{0}, ctx,
-                                           std::move(fn));
-    return;
-  }
-  // Same lane, or control/harness code running exclusively: direct push.
-  assert(t >= dst.now);
-  dst.queue.Push(t, stamp, 0, ctx, std::move(fn));
+  // Mirrors At() rather than calling it so the closure is not relocated an
+  // extra time through the by-value parameter — Send() routes every datagram
+  // delivery here, making this the per-message hot path.
+  assert(ctx < kMaxContexts);
+  assert(t >= now_);
+  queue_.Push(t, MakeStamp(), 0, ctx, std::move(fn));
 }
 
-Simulator::ContextScope::ContextScope(Simulator& sim, uint32_t ctx) {
-  if (!sim.contexts_configured()) {
-    return;  // inactive: plain simulators have no contexts to enter
-  }
-  assert(!sim.in_round_ && "ContextScope is for harness/control code only");
-  assert(ctx < sim.lane_of_ctx_.size());
-  sim_ = &sim;
-  saved_lane_ = sim.cur_lane_;
-  saved_ctx_ = sim.cur_ctx_;
-  sim.cur_lane_ = sim.lanes_[sim.lane_of_ctx_[ctx]].get();
+Simulator::ContextScope::ContextScope(Simulator& sim, uint32_t ctx)
+    : sim_(sim), saved_ctx_(sim.cur_ctx_) {
+  assert(ctx < kMaxContexts);
   sim.cur_ctx_ = ctx;
 }
 
-Simulator::ContextScope::~ContextScope() {
-  if (sim_ != nullptr) {
-    sim_->cur_lane_ = static_cast<Lane*>(saved_lane_);
-    sim_->cur_ctx_ = saved_ctx_;
-  }
-}
+Simulator::ContextScope::~ContextScope() { sim_.cur_ctx_ = saved_ctx_; }
 
 uint64_t Simulator::Run() { return RunLoop(false, 0); }
 
 uint64_t Simulator::RunUntil(SimTime t) { return RunLoop(true, t); }
 
 uint64_t Simulator::RunLoop(bool bounded, SimTime limit) {
-  stopped_.store(false, std::memory_order_relaxed);
-  if (lanes_.size() > 1) {
-    return RunSharded(bounded, limit);
-  }
-  // Serial engine: one lane, events in (time, stamp) order, stop honored
-  // per event. This is the reference mode and the 1-shard fast path.
-  Lane& lane = *lanes_[0];
-  const uint64_t start = lane.processed;
+  stopped_ = false;
+  const uint64_t start = processed_;
   EventFn fn;
-  while (!lane.queue.empty() &&
-         !stopped_.load(std::memory_order_relaxed)) {
-    if (bounded && lane.queue.MinTime() > limit) {
+  while (!queue_.empty() && !stopped_) {
+    if (bounded && queue_.MinTime() > limit) {
       break;
     }
-    const CalendarQueue::Popped e = lane.queue.PopMin(fn);
-    lane.now = e.time;
-    if (e.timer != 0 && lane.cancelled.Erase(e.timer)) {
+    const CalendarQueue::Popped e = queue_.PopMin(fn);
+    now_ = e.time;
+    if (e.timer != 0 && cancelled_.Erase(e.timer)) {
       continue;
     }
     cur_ctx_ = e.ctx;
     fn();
-    lane.processed++;
+    processed_++;
   }
   cur_ctx_ = 0;
-  if (bounded && !stopped_.load(std::memory_order_relaxed) &&
-      lane.now < limit) {
-    lane.now = limit;
+  if (bounded && !stopped_ && now_ < limit) {
+    now_ = limit;
   }
-  return lane.processed - start;
-}
-
-uint64_t Simulator::RunSharded(bool bounded, SimTime limit) {
-  const uint64_t start = events_processed();
-  while (!stopped_.load(std::memory_order_relaxed)) {
-    // Global minimum event key across all lanes.
-    Lane* min_lane = nullptr;
-    EventKey min{0, 0};
-    for (auto& lane : lanes_) {
-      if (lane->queue.empty()) {
-        continue;
-      }
-      const EventKey k = lane->queue.MinKey();
-      if (min_lane == nullptr || k < min) {
-        min_lane = lane.get();
-        min = k;
-      }
-    }
-    if (min_lane == nullptr || (bounded && min.time > limit)) {
-      break;
-    }
-
-    if (min_lane->index == 0) {
-      // Control event: runs exclusively, may touch any context. Every
-      // lane's clock first advances to its time so relative scheduling
-      // from inside (After, ContextScope'd node entry) sees a synchronized
-      // simulation.
-      AdvanceAllLanes(min.time);
-      EventFn fn;
-      const CalendarQueue::Popped e = min_lane->queue.PopMin(fn);
-      if (e.timer != 0 && min_lane->cancelled.Erase(e.timer)) {
-        continue;
-      }
-      cur_lane_ = min_lane;
-      cur_ctx_ = e.ctx;
-      fn();
-      min_lane->processed++;
-      cur_lane_ = lanes_[0].get();
-      cur_ctx_ = 0;
-      continue;
-    }
-
-    // Worker window: all lanes process events strictly below the bound —
-    // the lookahead horizon, capped by the next control event (which must
-    // run exclusively at its exact position) and the run limit.
-    EventKey bound{min.time + lookahead_, 0};
-    if (!lanes_[0]->queue.empty()) {
-      const EventKey control = lanes_[0]->queue.MinKey();
-      if (control < bound) {
-        bound = control;
-      }
-    }
-    if (bounded) {
-      const EventKey cap{limit + 1, 0};
-      if (cap < bound) {
-        bound = cap;
-      }
-    }
-    in_round_ = true;
-    window_bound_time_ = bound.time;
-    if (threads_ > 1) {
-      RunRoundThreaded(bound);
-    } else {
-      // Sequential windows in lane order: bitwise-identical to the
-      // threaded schedule (lanes are independent within a window).
-      for (size_t i = 1; i < lanes_.size(); ++i) {
-        cur_lane_ = lanes_[i].get();
-        RunLaneWindow(*lanes_[i], bound, /*mt=*/false);
-      }
-      cur_lane_ = lanes_[0].get();
-      cur_ctx_ = 0;
-    }
-    in_round_ = false;
-    DrainOutboxes();
-  }
-  if (bounded && !stopped_.load(std::memory_order_relaxed)) {
-    AdvanceAllLanes(limit);
-  }
-  return events_processed() - start;
-}
-
-void Simulator::RunLaneWindow(Lane& lane, EventKey bound, bool mt) {
-  EventFn fn;
-  while (!lane.queue.empty() && lane.queue.MinKey() < bound) {
-    const CalendarQueue::Popped e = lane.queue.PopMin(fn);
-    lane.now = e.time;
-    if (e.timer != 0 && lane.cancelled.Erase(e.timer)) {
-      continue;
-    }
-    if (mt) {
-      tls_ctx_ = e.ctx;
-    } else {
-      cur_ctx_ = e.ctx;
-    }
-    fn();
-    lane.processed++;
-  }
-}
-
-void Simulator::DrainOutboxes() {
-  // Fixed lane order. Order is cosmetic for correctness — the destination
-  // queues are keyed by (time, stamp) — but keeping it fixed makes the
-  // mailbox mechanism itself deterministic too.
-  for (size_t src = 1; src < lanes_.size(); ++src) {
-    for (size_t dst = 0; dst < lanes_.size(); ++dst) {
-      std::vector<SimEvent>& box = lanes_[src]->outbox[dst];
-      for (SimEvent& e : box) {
-        assert(e.time >= lanes_[dst]->now);
-        lanes_[dst]->queue.Push(e.time, e.stamp, e.timer, e.ctx,
-                                std::move(e.fn));
-      }
-      box.clear();  // keeps capacity: steady-state rounds do not allocate
-    }
-  }
-}
-
-void Simulator::AdvanceAllLanes(SimTime t) {
-  for (auto& lane : lanes_) {
-    if (lane->now < t) {
-      lane->now = t;
-    }
-  }
-}
-
-void Simulator::StartWorkers() {
-  const uint32_t n =
-      std::min<uint32_t>(threads_, static_cast<uint32_t>(lanes_.size()) - 1);
-  workers_.reserve(n);
-  for (uint32_t w = 0; w < n; ++w) {
-    // The pool size is passed by value: a fast-starting worker must not read
-    // workers_.size() while this loop is still growing it, or it computes the
-    // wrong lane stride and races another worker for the same lane.
-    workers_.emplace_back([this, w, n] { WorkerMain(w, n); });
-  }
-}
-
-void Simulator::RunRoundThreaded(EventKey bound) {
-  if (workers_.empty()) {
-    StartWorkers();
-  }
-  // Workers read execution state through thread-locals while this is true;
-  // the mutex handoff below publishes it (and the round data) to them.
-  mt_phase_.store(true, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lk(pool_mu_);
-    round_bound_ = bound;
-    round_pending_ = static_cast<uint32_t>(workers_.size());
-    round_seq_++;
-  }
-  work_cv_.notify_all();
-  {
-    std::unique_lock<std::mutex> lk(pool_mu_);
-    done_cv_.wait(lk, [this] { return round_pending_ == 0; });
-  }
-  mt_phase_.store(false, std::memory_order_relaxed);
-}
-
-void Simulator::WorkerMain(uint32_t worker, uint32_t pool_size) {
-  const uint32_t stride = pool_size;
-  uint64_t seen = 0;
-  for (;;) {
-    EventKey bound{0, 0};
-    {
-      std::unique_lock<std::mutex> lk(pool_mu_);
-      work_cv_.wait(lk,
-                    [&] { return pool_shutdown_ || round_seq_ != seen; });
-      if (pool_shutdown_) {
-        return;
-      }
-      seen = round_seq_;
-      bound = round_bound_;
-    }
-    // Fixed lane-to-worker assignment: worker w always executes lanes
-    // 1+w, 1+w+W, ... — not required for determinism (lane windows are
-    // independent), but it keeps each lane's state resident on one thread.
-    for (size_t i = 1 + worker; i < lanes_.size(); i += stride) {
-      tls_lane_ = lanes_[i].get();
-      RunLaneWindow(*lanes_[i], bound, /*mt=*/true);
-    }
-    tls_lane_ = nullptr;
-    {
-      std::lock_guard<std::mutex> lk(pool_mu_);
-      if (--round_pending_ == 0) {
-        done_cv_.notify_one();
-      }
-    }
-  }
+  return processed_ - start;
 }
 
 }  // namespace gms

@@ -1,50 +1,28 @@
-// Deterministic discrete-event simulation engine, optionally sharded across
-// worker threads by conservative lookahead.
+// Deterministic discrete-event simulation engine.
 //
 // Everything in the cluster model (network delivery, disk completion, epoch
 // timers, CPU task completion) is an event ordered by an intrinsic key
-// (time, stamp). The stamp packs the creating context's id above a per-lane
-// monotone counter, so the total event order is a pure function of what each
-// context did — never of how contexts were grouped into shards or threads.
-// That is the determinism backbone: serial and parallel runs extract events
-// in the same order and therefore produce byte-identical traces.
+// (time, stamp). The stamp packs the creating context's id above a monotone
+// counter (stamp = ctx << 40 | counter), so same-time events run in context
+// order, and in creation order within one context. That order is the
+// determinism backbone every trace digest and golden dump relies on.
 //
-// Sharding model (ConfigureSharding): simulation state is partitioned into
-// *contexts* — ctx 0 is the control/harness context, ctx i+1 owns node i's
-// state. Contexts are hash-assigned to *lanes*: lane 0 runs control events
-// exclusively (single-threaded, may touch any context via ContextScope);
-// lanes 1..K each own a disjoint set of node contexts with a private
-// calendar queue, clock, timer space and cancellation set. Lanes advance in
-// conservative windows: a round finds the global minimum event key; if it is
-// a control event every lane's clock is advanced to it and it runs alone,
-// otherwise all worker lanes process events with key < bound, where
-//   bound = min((T_min + lookahead, 0), control_min_key, (limit+1, 0))
-// and the lookahead is the minimum cross-context latency (the network's
-// fixed propagation floor — jitter, reordering and duplication only add
-// delay). Any event a worker executes sits at time >= T_min, so any
-// cross-lane message it sends arrives at or beyond the bound — never inside
-// another lane's current window. Cross-lane sends are buffered in per-lane
-// outboxes (mailboxes) during a round and drained at the barrier in fixed
-// lane order; because queue order is intrinsic, the drain order affects no
-// observable state — the mailboxes exist only so no thread pushes into
-// another thread's queue.
+// Contexts: ctx 0 is the control/harness context, ctx i+1 owns node i's
+// state. A context is "who creates and owns this event": an event runs as
+// the context it was scheduled into, and everything it schedules is stamped
+// with that context. Events scheduled from plain code (outside any event and
+// any ContextScope) belong to ctx 0.
 //
 // The hot path is allocation-free: events are InlineFn closures (inline
 // small-buffer storage, src/sim/inline_fn.h) stored in a calendar queue
-// (src/sim/event_queue.h), timer cancellation uses a flat open-addressing
-// set, and outbox vectors retain capacity across rounds. After warm-up,
-// scheduling + dispatching an event touches no allocator on any lane.
+// (src/sim/event_queue.h), and timer cancellation uses a flat
+// open-addressing set. After warm-up, scheduling + dispatching an event
+// touches no allocator.
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
-#include <atomic>
 #include <cassert>
-#include <condition_variable>
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 #include "src/common/flat_set.h"
 #include "src/common/time.h"
@@ -55,25 +33,17 @@ namespace gms {
 
 using EventFn = InlineFn;
 
-// Identifies a cancellable timer. Zero is never a valid id. The owning
-// lane's index lives in the top 16 bits so cancellation can find the lane
-// that holds the pending event.
+// Identifies a cancellable timer. Zero is never a valid id.
 using TimerId = uint64_t;
 
 class Simulator {
  public:
-  Simulator();
-  ~Simulator();
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  // Current simulated time as seen by the executing context (its lane's
-  // clock). Lane clocks are equal at every point where non-simulation code
-  // can observe them: after Run*/RunUntil returns and during control events.
-  SimTime now() const {
-    const Exec e = CurrentExec();
-    return e.lane->now;
-  }
+  // Current simulated time.
+  SimTime now() const { return now_; }
 
   // Schedules fn to run at absolute simulated time t (>= now) in the
   // executing context.
@@ -87,49 +57,20 @@ class Simulator {
   TimerId ScheduleTimer(SimTime delay, EventFn fn);
 
   // Cancels a pending timer. Cancelling an already-fired or already-cancelled
-  // timer is a harmless no-op. During a parallel window only the timer's own
-  // lane may cancel it; control events may cancel any timer.
+  // timer is a harmless no-op.
   void CancelTimer(TimerId id);
 
-  // --- Sharding -----------------------------------------------------------
+  // --- Contexts -----------------------------------------------------------
 
-  // Partitions the simulation into contexts and lanes. Must be called before
-  // any event is scheduled. Context 0 is the control context; contexts
-  // 1..num_nodes map to nodes 0..num_nodes-1 and are hash-assigned to
-  // `shards` worker lanes (shards == 1 keeps everything on lane 0: the
-  // serial engine, with context stamping active so the event order is
-  // invariant across shard counts). `lookahead` is the conservative window
-  // width: a lower bound on the delay of any cross-context event (must be
-  // > 0 when shards > 1). `threads` worker threads execute the windows;
-  // threads <= 1 runs windows on the calling thread in lane order, which is
-  // bitwise-identical to the threaded schedule by construction.
-  void ConfigureSharding(uint32_t num_nodes, uint32_t shards, uint32_t threads,
-                         SimTime lookahead);
-
-  bool contexts_configured() const { return !lane_of_ctx_.empty(); }
-  uint32_t lane_count() const { return static_cast<uint32_t>(lanes_.size()); }
-  uint32_t shard_count() const { return shards_; }
-  uint32_t threads() const { return threads_; }
-  SimTime lookahead() const { return lookahead_; }
-
-  // Index of the lane the calling code is executing on (0 outside of
-  // dispatch). Per-lane statistics arrays (e.g. the network's sharded
-  // counters) index by this.
-  uint32_t current_lane_index() const { return CurrentExec().lane->index; }
-
-  // Schedules fn at absolute time t in context `ctx` (which may live on a
-  // different lane). During a parallel window t must be at or beyond the
-  // window bound — callers guarantee this with a cross-context latency of at
-  // least the configured lookahead. On an unconfigured simulator this is
-  // plain At().
+  // Schedules fn at absolute time t (>= now) to run as context `ctx`. The
+  // event itself is stamped by the executing context (its creator); the
+  // events fn schedules are stamped by `ctx`.
   void AtContext(uint32_t ctx, SimTime t, EventFn fn);
 
   // Enters context `ctx` for the scope's lifetime: events scheduled inside
-  // are stamped and owned by that context (and land on its lane). For
-  // harness and control code crossing into node state — e.g. starting a
-  // workload on node 3, or a chaos script crashing a node. Must not be used
-  // inside a parallel window (worker events already run in their own
-  // context). No-op on an unconfigured simulator.
+  // are stamped and owned by that context. For harness and control code
+  // crossing into node state — e.g. starting a workload on node 3, or a
+  // chaos script crashing a node. Restores the outer context on exit.
   class ContextScope {
    public:
     ContextScope(Simulator& sim, uint32_t ctx);
@@ -138,9 +79,8 @@ class Simulator {
     ContextScope& operator=(const ContextScope&) = delete;
 
    private:
-    Simulator* sim_ = nullptr;  // null when inactive (unconfigured sim)
-    void* saved_lane_ = nullptr;
-    uint32_t saved_ctx_ = 0;
+    Simulator& sim_;
+    uint32_t saved_ctx_;
   };
 
   // --- Execution ----------------------------------------------------------
@@ -149,120 +89,42 @@ class Simulator {
   // events processed by this call.
   uint64_t Run();
 
-  // Processes all events with time <= t, then advances the clock (every
-  // lane's clock) to t. Returns the number of events processed.
+  // Processes all events with time <= t, then advances the clock to t.
+  // Returns the number of events processed.
   uint64_t RunUntil(SimTime t);
 
   // Convenience: RunUntil(now() + d).
   uint64_t RunFor(SimTime d) { return RunUntil(now() + d); }
 
-  // Makes Run/RunUntil return after the current event completes (serial) or
-  // after the current window round completes (sharded — stopping inside a
-  // window would make the set of processed events depend on thread timing).
-  void Stop() { stopped_.store(true, std::memory_order_relaxed); }
+  // Makes Run/RunUntil return after the current event completes.
+  void Stop() { stopped_ = true; }
 
-  bool empty() const {
-    for (const auto& lane : lanes_) {
-      if (!lane->queue.empty()) {
-        return false;
-      }
-    }
-    return true;
-  }
+  bool empty() const { return queue_.empty(); }
 
-  uint64_t events_processed() const {
-    uint64_t total = 0;
-    for (const auto& lane : lanes_) {
-      total += lane->processed;
-    }
-    return total;
-  }
+  uint64_t events_processed() const { return processed_; }
 
  private:
-  // One shard of the simulation: a private event queue, clock, timer space,
-  // and outbox. Cache-line aligned so lanes touched by different worker
-  // threads never share a line.
-  struct alignas(64) Lane {
-    explicit Lane(uint32_t idx) : index(idx) {}
+  // Context ids occupy the stamp bits above the 40-bit counter.
+  static constexpr uint32_t kMaxContexts = 1u << 24;
 
-    CalendarQueue queue;
-    FlatSet64 cancelled;
-    SimTime now = 0;
-    uint64_t next_stamp = 0;  // low 40 bits of the next stamp issued here
-    uint64_t next_timer = 0;  // low 48 bits of the last timer id issued here
-    uint64_t processed = 0;
-    uint32_t index;
-    // Cross-lane events buffered during a round, indexed by destination
-    // lane; drained at the barrier. clear() keeps capacity: alloc-free in
-    // steady state.
-    std::vector<std::vector<SimEvent>> outbox;
-  };
-
-  // Where the calling code is executing: which lane's queue/clock it owns
-  // and which context stamps its events. Outside parallel windows these are
-  // plain members (the serial hot path pays one relaxed load + branch);
-  // inside a window each worker thread carries its own in thread-locals.
-  struct Exec {
-    Lane* lane;
-    uint32_t ctx;
-  };
-  Exec CurrentExec() const {
-    if (mt_phase_.load(std::memory_order_relaxed)) {
-      return Exec{tls_lane_, tls_ctx_};
-    }
-    return Exec{cur_lane_, cur_ctx_};
-  }
-
-  // Issues the intrinsic order key for a new event created by `ctx` while
-  // executing on `lane`. Within one context, stamps increase in creation
-  // order (a context always executes on one lane); across contexts, ties
-  // break on the context bits — so (time, stamp) order never depends on the
-  // shard or thread count even though stamp *values* do.
-  uint64_t MakeStamp(Lane& lane, uint32_t ctx) {
-    assert(lane.next_stamp < (1ull << 40));
-    return (static_cast<uint64_t>(ctx) << 40) | lane.next_stamp++;
+  // Issues the intrinsic order key for a new event created by the executing
+  // context: within one context stamps increase in creation order; across
+  // contexts ties break on the context bits.
+  uint64_t MakeStamp() {
+    assert(next_stamp_ < (1ull << 40));
+    return (static_cast<uint64_t>(cur_ctx_) << 40) | next_stamp_++;
   }
 
   uint64_t RunLoop(bool bounded, SimTime limit);
-  uint64_t RunSharded(bool bounded, SimTime limit);
-  // Runs one lane's events with key < bound. `mt` selects thread-local vs
-  // member execution state.
-  void RunLaneWindow(Lane& lane, EventKey bound, bool mt);
-  void RunRoundThreaded(EventKey bound);
-  void DrainOutboxes();
-  void AdvanceAllLanes(SimTime t);
-  void StartWorkers();
-  void WorkerMain(uint32_t worker, uint32_t pool_size);
 
-  std::vector<std::unique_ptr<Lane>> lanes_;  // [0] = control/serial lane
-  std::vector<uint32_t> lane_of_ctx_;  // empty until ConfigureSharding
-  uint32_t shards_ = 1;
-  uint32_t threads_ = 1;
-  SimTime lookahead_ = 0;
-  std::atomic<bool> stopped_{false};
-
-  // Execution state outside parallel windows (serial loop, control events,
-  // sequential windows, ContextScope).
-  Lane* cur_lane_ = nullptr;
-  uint32_t cur_ctx_ = 0;
-
-  // True only while worker threads are executing a window round.
-  std::atomic<bool> mt_phase_{false};
-  bool in_round_ = false;          // a window round is in progress
-  SimTime window_bound_time_ = 0;  // its bound (for cross-lane asserts)
-
-  // Worker pool (created lazily at the first threaded round).
-  std::vector<std::thread> workers_;
-  std::mutex pool_mu_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  uint64_t round_seq_ = 0;      // bumped per round; workers wait on it
-  uint32_t round_pending_ = 0;  // workers still inside the current round
-  EventKey round_bound_{0, 0};
-  bool pool_shutdown_ = false;
-
-  static thread_local Lane* tls_lane_;
-  static thread_local uint32_t tls_ctx_;
+  CalendarQueue queue_;
+  FlatSet64 cancelled_;
+  SimTime now_ = 0;
+  uint64_t next_stamp_ = 0;  // low 40 bits of the next stamp
+  uint64_t next_timer_ = 0;  // last timer id issued
+  uint64_t processed_ = 0;
+  uint32_t cur_ctx_ = 0;     // the executing context
+  bool stopped_ = false;
 };
 
 }  // namespace gms

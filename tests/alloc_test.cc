@@ -470,97 +470,6 @@ TEST(AllocTest, EnsembleEngineDispatchIsAllocationFreeAtSteadyState) {
   EXPECT_EQ(window.frees(), 0u);
 }
 
-// --- sharded parallel loop ------------------------------------------------
-//
-// The same hold-model bar applies to the parallel engine (DESIGN.md,
-// "Parallel simulation"): after warm-up has grown the worker pool, every
-// lane's calendar buckets, and every outbox vector to their working
-// capacity, a steady-state round — window-bound computation, per-lane
-// dispatch on real threads, barrier rotation, mailbox drain — must not
-// touch the allocator from any thread (the counting operator new is global,
-// so a worker's allocation fails the test exactly like the main thread's).
-
-// Lane-local hold chain for one context: same shape as EventPump, pinned to
-// whatever lane its context hashes to.
-struct ShardPump {
-  Simulator* sim;
-  uint64_t* fired;  // per-chain: only ever touched by the owning lane
-  SimTime delay;
-  void operator()() {
-    ++*fired;
-    sim->After(delay, ShardPump{sim, fired, delay});
-  }
-};
-static_assert(EventFn::kFitsInline<ShardPump>);
-
-TEST(AllocTest, ShardedDispatchIsAllocationFreeAtSteadyState) {
-  constexpr uint32_t kCtx = 32;
-  Simulator sim;
-  sim.ConfigureSharding(kCtx, /*shards=*/4, /*threads=*/4, Microseconds(1));
-  ASSERT_EQ(sim.lane_count(), 5u);  // control + 4 worker lanes
-  uint64_t fired[kCtx] = {};
-  for (uint32_t i = 0; i < kCtx; ++i) {
-    // Staggered phases and mixed periods, as in the serial hold model.
-    sim.AtContext(i + 1, 1 + i % 97,
-                  ShardPump{&sim, &fired[i],
-                            32 * (1 + static_cast<SimTime>(i % 3))});
-  }
-  // Warm-up: starts the worker pool (thread creation allocates), wraps every
-  // lane's bucket ring, and rotates the barrier thousands of times.
-  sim.RunFor(Milliseconds(2));
-  const AllocWindow window;
-  const uint64_t before = sim.events_processed();
-  sim.RunFor(Milliseconds(1));
-  EXPECT_GT(sim.events_processed() - before, 100000u);
-  EXPECT_EQ(window.allocs(), 0u)
-      << "a sharded window (dispatch/barrier) allocated at steady state";
-  EXPECT_EQ(window.frees(), 0u);
-}
-
-// Cross-shard hold chain: every firing schedules the next hop on the *next*
-// context around the ring, two lookaheads out. With 32 contexts hashed over
-// 4 shards most hops land on a different lane, so each one takes the
-// mailbox path — outbox emplace on the source lane during the round, drain
-// into the destination queue at the barrier. Hop times are exactly periodic
-// per chain, so outbox and bucket capacities are stationary after warm-up.
-struct ShardHop {
-  Simulator* sim;
-  uint64_t* hops;  // per-chain: handoff ordering makes accesses sequential
-  uint32_t self;   // context this hop was scheduled onto
-  void operator()() {
-    ++*hops;
-    const uint32_t next = self % 32 + 1;
-    sim->AtContext(next, sim->now() + Microseconds(2),
-                   ShardHop{sim, hops, next});
-  }
-};
-static_assert(EventFn::kFitsInline<ShardHop>);
-
-TEST(AllocTest, ShardedMailboxHandoffIsAllocationFreeAtSteadyState) {
-  constexpr uint32_t kCtx = 32;
-  Simulator sim;
-  sim.ConfigureSharding(kCtx, /*shards=*/4, /*threads=*/4, Microseconds(1));
-  uint64_t hops[kCtx] = {};
-  for (uint32_t i = 0; i < kCtx; ++i) {
-    // 8 rotating chains per context pair up the ring; staggered phases keep
-    // co-timed bucket pileups bounded.
-    if (i % 4 == 0) {
-      for (uint32_t c = 0; c < 8; ++c) {
-        sim.AtContext(i + 1, 1 + (i * 8 + c) * 31,
-                      ShardHop{&sim, &hops[i % kCtx], i + 1});
-      }
-    }
-  }
-  sim.RunFor(Milliseconds(20));  // warm-up: outboxes reach peak per-round load
-  const AllocWindow window;
-  const uint64_t before = sim.events_processed();
-  sim.RunFor(Milliseconds(10));
-  EXPECT_GT(sim.events_processed() - before, 10000u);
-  EXPECT_EQ(window.allocs(), 0u)
-      << "a cross-shard mailbox handoff allocated at steady state";
-  EXPECT_EQ(window.frees(), 0u);
-}
-
 // Health sampling runs on the snapshot timer for the whole life of a
 // monitored cluster, so it gets the hot-path bar too: after Bind() has
 // preallocated the windows, rules, and the incident reservation, a Sample()

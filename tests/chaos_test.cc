@@ -24,13 +24,25 @@
 namespace gms {
 namespace {
 
-std::string CaseName(const ::testing::TestParamInfo<ChaosCase>& info) {
+// One soak point. gtest_discover_tests appends gtest's print of the
+// parameter to each ctest name, and a type with no PrintTo prints as its size
+// and raw bytes ("48-byte object <01-00 ...>"). The soak names have always
+// carried a 48-byte parameter; padding the point to that size here keeps them
+// stable whatever fields ChaosCase gains or loses (up to 48 bytes).
+struct SoakPoint {
+  ChaosCase chaos;
+  unsigned char name_pad[48 - sizeof(ChaosCase)] = {};
+};
+static_assert(sizeof(SoakPoint) == 48, "soak ctest names print 48 bytes");
+
+std::string CaseName(const ::testing::TestParamInfo<SoakPoint>& info) {
+  const ChaosCase& chaos = info.param.chaos;
   std::ostringstream out;
   // 0.001 -> "Loss0p1pct" style (permille avoids '.' in test names).
-  out << "Seed" << info.param.seed << "Loss"
-      << static_cast<int>(info.param.loss * 1000 + 0.5) << "permille";
-  if (info.param.epoch_fanout > 0) {
-    out << "Fanout" << info.param.epoch_fanout;
+  out << "Seed" << chaos.seed << "Loss"
+      << static_cast<int>(chaos.loss * 1000 + 0.5) << "permille";
+  if (chaos.epoch_fanout > 0) {
+    out << "Fanout" << chaos.epoch_fanout;
   }
   return out.str();
 }
@@ -39,10 +51,11 @@ std::string CaseName(const ::testing::TestParamInfo<ChaosCase>& info) {
 // so the bench/sweep soak driver and the sweep determinism test run the
 // exact same universe as this soak.
 
-class ChaosSoakTest : public ::testing::TestWithParam<ChaosCase> {};
+class ChaosSoakTest : public ::testing::TestWithParam<SoakPoint> {};
 
 TEST_P(ChaosSoakTest, InvariantsHoldAfterFaultyRun) {
-  auto cluster = BuildChaosCluster(GetParam());
+  const ChaosCase& chaos = GetParam().chaos;
+  auto cluster = BuildChaosCluster(chaos);
   cluster->StartWorkloads();
   ASSERT_TRUE(cluster->RunUntilWorkloadsDone(Seconds(600)))
       << "workloads hung: an op was lost under faults";
@@ -61,7 +74,7 @@ TEST_P(ChaosSoakTest, InvariantsHoldAfterFaultyRun) {
   // The fault layer actually did something in lossy runs — the soak is not
   // vacuously passing on a clean network.
   const NetworkFaultStats& fs = cluster->net().fault_stats();
-  if (GetParam().loss > 0) {
+  if (chaos.loss > 0) {
     EXPECT_GT(fs.drops_injected.events, 0u);
     const MemoryServiceStats& s0 = cluster->service(NodeId{0}).stats();
     const MemoryServiceStats& s1 = cluster->service(NodeId{1}).stats();
@@ -75,7 +88,7 @@ TEST_P(ChaosSoakTest, InvariantsHoldAfterFaultyRun) {
   // Tree-epoch runs must have exercised the aggregation path for real:
   // partials flowed upward, and every node ended the run on the same epoch
   // (whatever faults did to individual rounds, the cluster converged).
-  if (GetParam().epoch_fanout > 0) {
+  if (chaos.epoch_fanout > 0) {
     uint64_t partials_sent = 0;
     for (uint32_t i = 0; i < cluster->num_nodes(); i++) {
       partials_sent +=
@@ -96,11 +109,11 @@ TEST_P(ChaosSoakTest, InvariantsHoldAfterFaultyRun) {
   }
 }
 
-std::vector<ChaosCase> MakeSweep() {
-  std::vector<ChaosCase> cases;
+std::vector<SoakPoint> MakeSweep() {
+  std::vector<SoakPoint> cases;
   for (uint64_t seed = 1; seed <= 20; seed++) {
     for (double loss : {0.0, 0.001, 0.01, 0.05}) {
-      cases.push_back(ChaosCase{seed, loss});
+      cases.push_back(SoakPoint{ChaosCase{seed, loss}});
     }
   }
   return cases;
@@ -114,13 +127,13 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ChaosSoakTest,
 // dropped and duplicated partials, straggler timeouts, and the root's flat
 // re-request sweep all fire across the sweep. Fanout 2 on the 4-node
 // scenario gives a two-level tree (the deepest this membership allows).
-std::vector<ChaosCase> MakeTreeSweep() {
-  std::vector<ChaosCase> cases;
+std::vector<SoakPoint> MakeTreeSweep() {
+  std::vector<SoakPoint> cases;
   for (uint64_t seed = 1; seed <= 8; seed++) {
     for (double loss : {0.0, 0.01, 0.05}) {
       ChaosCase c{seed, loss};
       c.epoch_fanout = 2;
-      cases.push_back(c);
+      cases.push_back(SoakPoint{c});
     }
   }
   return cases;

@@ -3,8 +3,8 @@
 // detector driven through a synthetic metrics registry (exact firing ticks,
 // hysteresis, re-arming), and the end-to-end cluster wiring — a clean
 // steady-state chaos scenario must stay incident-free, a lossy one must
-// flag the retry storm and duplicate spike, and the report must be
-// byte-identical between serial and parallel runs.
+// flag the retry storm and duplicate spike, and incidents must land in the
+// trace.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -581,18 +581,6 @@ TEST(HealthClusterTest, LossyChaosRunFlagsRetryStormAndDupSpike) {
   EXPECT_GT(health->class_count(IncidentClass::kDupSpike), 0u)
       << "2.5% duplication must register as a duplicate spike:\n"
       << health->ToJson();
-}
-
-TEST(HealthClusterTest, ReportIsByteIdenticalSerialVsParallel) {
-  ChaosCase serial{5, 0.05};
-  ChaosCase parallel = serial;
-  parallel.threads = 3;
-  uint64_t incidents_serial = 0;
-  const std::string a =
-      RunChaosHealthReport(serial, /*with_partition=*/true, &incidents_serial);
-  const std::string b = RunChaosHealthReport(parallel, /*with_partition=*/true);
-  EXPECT_GT(incidents_serial, 0u) << "vacuous comparison: nothing fired";
-  EXPECT_EQ(a, b) << "--threads leaked into the health report";
 }
 
 TEST(HealthClusterTest, IncidentsLandInTraceAsRecords) {

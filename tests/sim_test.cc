@@ -118,6 +118,66 @@ TEST(SimulatorTest, EventsScheduledDuringRunAreProcessed) {
   EXPECT_EQ(sim.now(), Microseconds(99));
 }
 
+// The tie order every golden digest relies on: same-time events run in
+// context-id order, and in creation order within one context.
+TEST(SimulatorTest, SameTimeEventsRunInContextThenCreationOrder) {
+  Simulator sim;
+  std::vector<int> order;
+  const SimTime t = Microseconds(5);
+  {
+    Simulator::ContextScope in_ctx(sim, 7);
+    sim.At(t, [&] { order.push_back(70); });
+    sim.At(t, [&] { order.push_back(71); });
+  }
+  {
+    Simulator::ContextScope in_ctx(sim, 2);
+    sim.At(t, [&] { order.push_back(20); });
+  }
+  sim.At(t, [&] { order.push_back(0); });  // ctx 0, created last
+  {
+    Simulator::ContextScope in_ctx(sim, 2);
+    sim.At(t, [&] { order.push_back(21); });
+  }
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{0, 20, 21, 70, 71}));
+}
+
+TEST(SimulatorTest, ContextScopeRestoresOuterContext) {
+  Simulator sim;
+  std::vector<char> order;
+  const SimTime t = Microseconds(5);
+  {
+    Simulator::ContextScope outer(sim, 1);
+    {
+      Simulator::ContextScope inner(sim, 3);
+      sim.At(t, [&] { order.push_back('a'); });  // ctx 3
+    }
+    sim.At(t, [&] { order.push_back('b'); });  // back in ctx 1
+  }
+  sim.At(t, [&] { order.push_back('c'); });  // back in ctx 0
+  sim.Run();
+  // Had either scope leaked, 'b' would sort after 'a' or 'c' after 'b'.
+  EXPECT_EQ(order, (std::vector<char>{'c', 'b', 'a'}));
+}
+
+TEST(SimulatorTest, AtContextEventRunsAsItsContext) {
+  Simulator sim;
+  std::vector<char> order;
+  const SimTime t = Microseconds(10);
+  // The ctx-5 event schedules 'x' before the ctx-2 event schedules 'y', so
+  // creation order alone would run 'x' first; 'x' carrying ctx 5's stamp is
+  // what puts it after 'y'.
+  sim.AtContext(5, Microseconds(1), [&] {
+    sim.At(t, [&] { order.push_back('x'); });
+  });
+  sim.AtContext(2, Microseconds(2), [&] {
+    sim.At(t, [&] { order.push_back('y'); });
+  });
+  sim.At(t, [&] { order.push_back('z'); });  // ctx 0
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<char>{'z', 'y', 'x'}));
+}
+
 TEST(SimulatorTest, CountsProcessedEvents) {
   Simulator sim;
   for (int i = 0; i < 5; i++) {

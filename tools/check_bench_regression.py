@@ -36,11 +36,8 @@ import sys
 def load(path):
     with open(path) as f:
         doc = json.load(f)
-    # Schema 1 is the original headline doc; schema 3 adds the
-    # parallel_event_loop section (sharded simulator). The shared fields are
-    # unchanged, so either side of a comparison may be either version.
-    if doc.get("schema") not in (1, 3):
-        sys.exit(f"{path}: unsupported or missing schema (want 1 or 3)")
+    if doc.get("schema") != 1:
+        sys.exit(f"{path}: unsupported or missing schema (want 1)")
     return doc
 
 
@@ -195,18 +192,6 @@ def main():
         "skip the baseline comparison entirely",
     )
     parser.add_argument(
-        "--min-parallel-speedup",
-        type=float,
-        default=None,
-        help="minimum required speedup_vs_serial in the current doc's "
-        "parallel_event_loop section (schema 3): the sharded simulator "
-        "running the same event stream at N threads must beat the serial "
-        "loop by at least this factor. Skipped with a notice when the "
-        "recorded hw_threads is below 4 — an undersized runner cannot "
-        "demonstrate parallel speedup, and a false FAIL there would teach "
-        "people to ignore the gate",
-    )
-    parser.add_argument(
         "--phase-change-tolerance",
         type=float,
         default=0.05,
@@ -293,35 +278,6 @@ def main():
             )
         print(f"{'getpage/event_loop':24s} {cur_norm:15.6f}    baseline "
               f"{base_norm:15.6f}  {rel:5.2f}x  {status}")
-
-    par = cur.get("parallel_event_loop")
-    if par is not None:
-        print(f"{'parallel_event_loop':24s} threads={par.get('threads')} "
-              f"hw_threads={par.get('hw_threads')} "
-              f"serial={par.get('serial_events_per_sec', 0):.0f}/s "
-              f"parallel={par.get('events_per_sec', 0):.0f}/s "
-              f"speedup={par.get('speedup_vs_serial', 0):.2f}x")
-    if args.min_parallel_speedup is not None:
-        if par is None:
-            failures.append(
-                f"{args.current}: --min-parallel-speedup given but the doc "
-                "has no parallel_event_loop section (schema 3; micro_ops "
-                "--emit_bench_json --threads=N)"
-            )
-        elif par.get("hw_threads", 0) < 4:
-            # The figure is still recorded above for the logs; only the
-            # pass/fail judgement is suppressed.
-            print(f"parallel speedup gate SKIPPED: hw_threads="
-                  f"{par.get('hw_threads')} < 4, runner cannot demonstrate "
-                  "parallel speedup")
-        elif par.get("speedup_vs_serial", 0) < args.min_parallel_speedup:
-            failures.append(
-                f"parallel_event_loop: speedup "
-                f"{par.get('speedup_vs_serial', 0):.2f}x at "
-                f"{par.get('threads')} threads (hw_threads="
-                f"{par.get('hw_threads')}) is below --min-parallel-speedup "
-                f"{args.min_parallel_speedup:.2f}x"
-            )
 
     if failures:
         print("\nFAIL: throughput regression beyond limit:", file=sys.stderr)

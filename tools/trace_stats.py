@@ -98,8 +98,7 @@ def read_trace(path):
     # order, which is that node's ring-flush order) is FNV-1a hashed on its
     # own, then the per-node (fnv1a, count) pairs are folded in node order —
     # empty nodes included. This makes the digest independent of how ring
-    # flushes from different nodes interleaved in the file (ring capacity,
-    # parallel window schedule).
+    # flushes from different nodes interleaved in the file (ring capacity).
     node_digest = [FNV_OFFSET] * num_nodes
     node_count = [0] * num_nodes
     records = list(RECORD.iter_unpack(body))
