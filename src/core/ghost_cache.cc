@@ -16,18 +16,6 @@ const char* GhostKindName(GhostKind kind) {
   return "unknown";
 }
 
-namespace {
-
-size_t NextPowerOfTwo(size_t v) {
-  size_t p = 1;
-  while (p < v) {
-    p <<= 1;
-  }
-  return p;
-}
-
-}  // namespace
-
 GhostCache::GhostCache(GhostKind kind, uint32_t max_capacity)
     : kind_(kind), max_capacity_(max_capacity), capacity_(max_capacity) {
   uids_.resize(max_capacity_);
@@ -38,64 +26,7 @@ GhostCache::GhostCache(GhostKind kind, uint32_t max_capacity)
   for (uint32_t i = max_capacity_; i-- > 0;) {
     free_.push_back(i);  // popped back-to-front: entry 0 is handed out first
   }
-  // Load factor <= 0.5 keeps linear-probe chains short; minimum 8 slots so
-  // the mask is valid even for degenerate capacities.
-  slots_.assign(NextPowerOfTwo(
-                    static_cast<size_t>(max_capacity_) * 2 < 8
-                        ? 8
-                        : static_cast<size_t>(max_capacity_) * 2),
-                0);
-  slot_mask_ = slots_.size() - 1;
-}
-
-uint32_t GhostCache::Find(const Uid& uid) const {
-  for (size_t s = IdealSlot(uid);; s = (s + 1) & slot_mask_) {
-    const uint32_t v = slots_[s];
-    if (v == 0) {
-      return kNull;
-    }
-    if (uids_[v - 1] == uid) {
-      return v - 1;
-    }
-  }
-}
-
-void GhostCache::HashInsert(const Uid& uid, uint32_t idx) {
-  for (size_t s = IdealSlot(uid);; s = (s + 1) & slot_mask_) {
-    if (slots_[s] == 0) {
-      slots_[s] = idx + 1;
-      return;
-    }
-  }
-}
-
-void GhostCache::HashErase(const Uid& uid) {
-  size_t hole = IdealSlot(uid);
-  while (slots_[hole] != 0 && uids_[slots_[hole] - 1] != uid) {
-    hole = (hole + 1) & slot_mask_;
-  }
-  assert(slots_[hole] != 0 && "erasing a uid that is not in the table");
-  // Backward-shift deletion: pull every displaced successor whose ideal slot
-  // lies at or before the hole back into it, so probes never cross an empty
-  // slot that "should" have held them.
-  size_t j = hole;
-  for (;;) {
-    j = (j + 1) & slot_mask_;
-    const uint32_t v = slots_[j];
-    if (v == 0) {
-      break;
-    }
-    const size_t ideal = IdealSlot(uids_[v - 1]);
-    // v may move into the hole iff its ideal slot is NOT cyclically inside
-    // (hole, j] — i.e. its probe path passes through the hole.
-    const bool ideal_in_gap = ((j - ideal) & slot_mask_) <
-                              ((j - hole) & slot_mask_);
-    if (!ideal_in_gap) {
-      slots_[hole] = v;
-      hole = j;
-    }
-  }
-  slots_[hole] = 0;
+  index_.Reserve(max_capacity_, uids_.data());
 }
 
 void GhostCache::PushBack(uint32_t list, uint32_t idx) {
@@ -157,7 +88,7 @@ void GhostCache::Evict() {
     }
   }
   assert(victim != kNull);
-  HashErase(uids_[victim]);
+  index_.Erase(victim, uids_.data());
   Unlink(list, victim);
   freq_[victim] = 0;
   free_.push_back(victim);
@@ -171,7 +102,7 @@ void GhostCache::Insert(const Uid& uid) {
   uids_[idx] = uid;
   freq_[idx] = 1;
   PushBack(ListIndexFor(1), idx);
-  HashInsert(uid, idx);
+  index_.Insert(idx, uids_.data());
   min_freq_ = 1;
   size_++;
 }

@@ -20,16 +20,18 @@
 //             (up to the construction-time maximum) just admits more pages.
 //
 // Everything is preallocated at construction: entry slots, an open-addressed
-// hash table (linear probing, backward-shift deletion — no tombstones), and
-// 256 intrusive frequency buckets. After construction no operation touches
-// the allocator, so ghosts may sit on the fault hot path (alloc_test holds
-// the ensemble's steady state to zero allocations).
+// index over the entry uid column (src/common/slot_index.h — linear probing,
+// backward-shift deletion, no tombstones), and 256 intrusive frequency
+// buckets. After construction no operation touches the allocator, so ghosts
+// may sit on the fault hot path (alloc_test holds the ensemble's steady
+// state to zero allocations).
 #ifndef SRC_CORE_GHOST_CACHE_H_
 #define SRC_CORE_GHOST_CACHE_H_
 
 #include <cstdint>
 #include <vector>
 
+#include "src/common/slot_index.h"
 #include "src/common/uid.h"
 
 namespace gms {
@@ -98,13 +100,8 @@ class GhostCache {
   void Evict();
   void Insert(const Uid& uid);
 
-  // Open-addressed hash table: slot value 0 = empty, otherwise entry index
-  // + 1. Linear probing; erase backward-shifts so probe chains never rot.
-  uint32_t Find(const Uid& uid) const;
-  void HashInsert(const Uid& uid, uint32_t idx);
-  void HashErase(const Uid& uid);
-  size_t IdealSlot(const Uid& uid) const {
-    return static_cast<size_t>(HashUid(uid)) & slot_mask_;
+  uint32_t Find(const Uid& uid) const {
+    return index_.Find(uid, uids_.data());
   }
 
   GhostKind kind_;
@@ -122,9 +119,8 @@ class GhostCache {
   std::vector<uint32_t> next_;
   std::vector<uint8_t> freq_;
 
-  std::vector<uint32_t> free_;   // spare entry indices (stack)
-  std::vector<uint32_t> slots_;  // hash table, power-of-two
-  size_t slot_mask_ = 0;
+  std::vector<uint32_t> free_;  // spare entry indices (stack)
+  SlotIndex<Uid> index_;        // uid -> entry, over uids_
   List lists_[256];
 };
 

@@ -136,7 +136,7 @@ SimTime GmsPolicy::EffectiveMinAge() const {
 // ---------------------------------------------------------------------------
 
 void GmsPolicy::EvictClean(Frame* frame) {
-  assert(frame != nullptr && frame->in_use() && !frame->dirty);
+  assert(frame != nullptr && frame->in_use() && !frame->dirty());
   evictions_since_summary_++;
 
   // Duplicate shared pages are dropped without network transmission
@@ -170,7 +170,7 @@ void GmsPolicy::EvictClean(Frame* frame) {
 }
 
 bool GmsPolicy::EvictDirty(Frame* frame) {
-  assert(frame != nullptr && frame->in_use() && frame->dirty);
+  assert(frame != nullptr && frame->in_use() && frame->dirty());
   if (!config_.dirty_global) {
     return false;
   }

@@ -18,17 +18,17 @@ FrameTable::FrameTable(uint32_t num_frames) {
     frames_[i - 1].index_ = i - 1;
     free_.push_back(i - 1);
   }
-  index_.reserve(num_frames * 2);
+  index_.Reserve(num_frames, uids_.data());
 }
 
 Frame* FrameTable::Lookup(const Uid& uid) {
-  auto it = index_.find(uid);
-  return it == index_.end() ? nullptr : &frames_[it->second];
+  const uint32_t i = index_.Find(uid, uids_.data());
+  return i == index_.kNotFound ? nullptr : &frames_[i];
 }
 
 const Frame* FrameTable::Lookup(const Uid& uid) const {
-  auto it = index_.find(uid);
-  return it == index_.end() ? nullptr : &frames_[it->second];
+  const uint32_t i = index_.Find(uid, uids_.data());
+  return i == index_.kNotFound ? nullptr : &frames_[i];
 }
 
 Frame* FrameTable::Allocate(const Uid& uid, PageLocation location, SimTime now) {
@@ -44,28 +44,23 @@ Frame* FrameTable::Allocate(const Uid& uid, PageLocation location, SimTime now) 
                 (location == PageLocation::kGlobal ? kFlagGlobal : 0);
   recirc_[idx] = 0;
   ages_[idx] = now;
-  index_.emplace(uid, idx);
+  index_.Insert(idx, uids_.data());
   Frame& f = frames_[idx];
-  PushMru(&f);
+  LinkNew(&f);
   return &f;
 }
 
 Frame* FrameTable::AllocateWithAge(const Uid& uid, PageLocation location,
                                    SimTime last_access) {
-  Frame* f = Allocate(uid, location, last_access);
-  if (f == nullptr) {
-    return nullptr;
-  }
-  // Allocate pushed at MRU; re-link at the position matching last_access.
-  Unlink(f);
-  InsertByAge(f);
-  return f;
+  // Linked from the MRU end at its age: putpaged pages are younger than the
+  // receiving node's idle tail, so the walk is short in practice.
+  return Allocate(uid, location, last_access);
 }
 
 void FrameTable::Free(Frame* frame) {
   assert(frame != nullptr && frame->in_use());
   Unlink(frame);
-  index_.erase(uids_[frame->index_]);
+  index_.Erase(frame->index_, uids_.data());
   uids_[frame->index_] = kInvalidUid;
   flags_[frame->index_] = 0;
   free_.push_back(frame->index_);
@@ -75,7 +70,7 @@ void FrameTable::Touch(Frame* frame, SimTime now) {
   assert(frame->in_use());
   ages_[frame->index_] = now;
   Unlink(frame);
-  PushMru(frame);
+  LinkNew(frame);
 }
 
 void FrameTable::SetLocation(Frame* frame, PageLocation location, SimTime now) {
@@ -87,7 +82,7 @@ void FrameTable::SetLocation(Frame* frame, PageLocation location, SimTime now) {
   Unlink(frame);
   set_flag(frame->index_, kFlagGlobal, location == PageLocation::kGlobal);
   ages_[frame->index_] = now;
-  PushMru(frame);
+  LinkNew(frame);
 }
 
 void FrameTable::MoveToList(Frame* frame, PageLocation location) {
@@ -97,15 +92,34 @@ void FrameTable::MoveToList(Frame* frame, PageLocation location) {
   }
   Unlink(frame);
   set_flag(frame->index_, kFlagGlobal, location == PageLocation::kGlobal);
-  InsertByAge(frame);
+  LinkNew(frame);
+}
+
+void FrameTable::SetDirty(Frame* f, bool dirty) {
+  const uint32_t i = f->index_;
+  if (flag(i, kFlagDirty) == dirty) {
+    return;
+  }
+  if (!flag(i, kFlagInUse)) {
+    set_flag(i, kFlagDirty, dirty);  // a free frame is in no list
+    return;
+  }
+  // A page turns dirty when it is written, so it is among the newest; it
+  // turns clean when its write-back completes, and write-back takes the
+  // oldest. Walk in from the end the frame is nearest.
+  Unlink(f);
+  set_flag(i, kFlagDirty, dirty);
+  Link(f, /*from_lru_end=*/!dirty);
 }
 
 void FrameTable::Reset() {
   const uint32_t n = num_frames();
   free_.clear();
-  index_.clear();
-  lists_[0] = List{};
-  lists_[1] = List{};
+  index_.Clear();
+  for (List& list : lists_) {
+    list = List{};
+  }
+  next_seq_ = 0;
   uids_.assign(n, kInvalidUid);
   ages_.assign(n, 0);
   flags_.assign(n, 0);
@@ -117,27 +131,46 @@ void FrameTable::Reset() {
   }
 }
 
-Frame* FrameTable::OldestOf(int list_index) {
-  return OldestOf(list_index, /*require_clean=*/false);
-}
-
-Frame* FrameTable::OldestOf(int list_index, bool require_clean) {
-  uint32_t idx = lists_[list_index].tail;
-  while (idx != UINT32_MAX) {
-    Frame& f = frames_[idx];
-    if (!f.pinned() && !(require_clean && f.dirty())) {
+// Walks one location's clean list (and, unless clean_only, its dirty list)
+// from the LRU end in merged LRU order, which is exactly the order of the
+// single list the two split; returns the first unpinned frame matching
+// pred.
+template <typename Pred>
+Frame* FrameTable::OldestIn(int clean_list, bool clean_only,
+                            const Pred& pred) {
+  uint32_t clean = lists_[clean_list].tail;
+  uint32_t dirty = clean_only ? UINT32_MAX : lists_[clean_list + 1].tail;
+  while (clean != UINT32_MAX || dirty != UINT32_MAX) {
+    uint32_t& cursor =
+        dirty == UINT32_MAX || (clean != UINT32_MAX && Older(clean, dirty))
+            ? clean
+            : dirty;
+    Frame& f = frames_[cursor];
+    if (!f.pinned() && pred(f)) {
       return &f;
     }
-    idx = f.prev_;
+    cursor = f.prev_;
   }
   return nullptr;
+}
+
+namespace {
+constexpr auto kAnyFrame = [](const Frame&) { return true; };
+}  // namespace
+
+Frame* FrameTable::OldestLocal() {
+  return OldestIn(kLocalClean, /*clean_only=*/false, kAnyFrame);
+}
+
+Frame* FrameTable::OldestGlobal() {
+  return OldestIn(kGlobalClean, /*clean_only=*/false, kAnyFrame);
 }
 
 Frame* FrameTable::PickVictim(SimTime now, double global_age_boost,
                               bool require_clean) {
   assert(global_age_boost >= 1.0);
-  Frame* local = OldestOf(0, require_clean);
-  Frame* global = OldestOf(1, require_clean);
+  Frame* local = OldestIn(kLocalClean, require_clean, kAnyFrame);
+  Frame* global = OldestIn(kGlobalClean, require_clean, kAnyFrame);
   if (global == nullptr) {
     return local;
   }
@@ -155,22 +188,18 @@ Frame* FrameTable::OldestMatching(
     const std::function<bool(const Frame&)>& pred) {
   Frame* best = nullptr;
   double best_age = -1;
-  for (int list = 0; list < 2; list++) {
-    uint32_t idx = lists_[list].tail;
-    while (idx != UINT32_MAX) {
-      Frame& f = frames_[idx];
-      if (!f.pinned() && pred(f)) {
-        double age = static_cast<double>(now - f.last_access());
-        if (f.location() == PageLocation::kGlobal) {
-          age *= global_age_boost;
-        }
-        if (age > best_age) {
-          best = &f;
-          best_age = age;
-        }
-        break;  // tail-first: the first match in a list is its oldest
-      }
-      idx = f.prev_;
+  for (const int list : {kLocalClean, kGlobalClean}) {
+    Frame* f = OldestIn(list, /*clean_only=*/false, pred);
+    if (f == nullptr) {
+      continue;
+    }
+    double age = static_cast<double>(now - f->last_access());
+    if (list == kGlobalClean) {
+      age *= global_age_boost;
+    }
+    if (age > best_age) {
+      best = f;
+      best_age = age;
     }
   }
   return best;
@@ -184,50 +213,47 @@ void FrameTable::ForEach(const std::function<void(const Frame&)>& fn) const {
   }
 }
 
-void FrameTable::InsertByAge(Frame* f) {
-  List& list = list_for(*f);
-  const SimTime f_age = ages_[f->index_];
-  // Walk from the MRU end until we find a frame at least as recent as f;
-  // putpaged pages are younger than the receiving node's idle tail, so the
-  // walk is short in practice.
-  uint32_t idx = list.head;
-  uint32_t prev = UINT32_MAX;
-  while (idx != UINT32_MAX && ages_[idx] > f_age) {
-    prev = idx;
-    idx = frames_[idx].next_;
-  }
-  // Insert f between prev and idx.
-  f->prev_ = prev;
-  f->next_ = idx;
-  if (prev != UINT32_MAX) {
-    frames_[prev].next_ = f->index_;
-  } else {
-    list.head = f->index_;
-  }
-  if (idx != UINT32_MAX) {
-    frames_[idx].prev_ = f->index_;
-  } else {
-    list.tail = f->index_;
-  }
-  list.size++;
+void FrameTable::LinkNew(Frame* f) {
+  f->seq_ = next_seq_++;
+  Link(f, /*from_lru_end=*/false);
 }
 
-void FrameTable::PushMru(Frame* f) {
-  List& list = list_for(*f);
-  f->prev_ = UINT32_MAX;
-  f->next_ = list.head;
-  if (list.head != UINT32_MAX) {
-    frames_[list.head].prev_ = f->index_;
+void FrameTable::Link(Frame* f, bool from_lru_end) {
+  const uint32_t i = f->index_;
+  List& list = list_for(i);
+  // f goes between prev (its MRU-side neighbour) and next (LRU side).
+  uint32_t prev = UINT32_MAX;
+  uint32_t next = UINT32_MAX;
+  if (from_lru_end) {
+    prev = list.tail;
+    while (prev != UINT32_MAX && Older(prev, i)) {
+      next = prev;
+      prev = frames_[prev].prev_;
+    }
+  } else {
+    next = list.head;
+    while (next != UINT32_MAX && Older(i, next)) {
+      prev = next;
+      next = frames_[next].next_;
+    }
   }
-  list.head = f->index_;
-  if (list.tail == UINT32_MAX) {
-    list.tail = f->index_;
+  f->prev_ = prev;
+  f->next_ = next;
+  if (prev != UINT32_MAX) {
+    frames_[prev].next_ = i;
+  } else {
+    list.head = i;
+  }
+  if (next != UINT32_MAX) {
+    frames_[next].prev_ = i;
+  } else {
+    list.tail = i;
   }
   list.size++;
 }
 
 void FrameTable::Unlink(Frame* f) {
-  List& list = list_for(*f);
+  List& list = list_for(f->index_);
   if (f->prev_ != UINT32_MAX) {
     frames_[f->prev_].next_ = f->next_;
   } else {

@@ -2,26 +2,34 @@
 //
 // This is the storage half of the paper's page-frame-directory (PFD,
 // section 4.1): a per-node table with one record per resident page, holding
-// the frame, LRU statistics, and whether the page is local or global. Two
-// intrusive LRU lists (local and global) give O(1) access ordering and O(1)
-// oldest-page lookup, replacing the paper's sampled TLB ages with exact
-// last-access timestamps (a documented divergence — strictly better
-// information).
+// the frame, LRU statistics, and whether the page is local or global. Exact
+// last-access timestamps replace the paper's sampled TLB ages (a documented
+// divergence — strictly better information).
+//
+// Four intrusive LRU lists, {local, global} x {clean, dirty}, each ordered
+// by last access, make every victim choice O(1): the oldest clean page (the
+// synchronous reclaim paths) is a list tail, not a walk past the dirty
+// pages piled up at the LRU end. Pages of equal age keep the order in which
+// they were linked (a per-frame link sequence breaks the tie), so merging a
+// location's clean and dirty lists yields exactly the single LRU list of
+// that location. set_dirty moves a frame between the two lists at its
+// place in that order.
 //
 // Storage is struct-of-arrays: uids, last-access times and packed status
 // flags live in separate contiguous arrays so the per-epoch age scan —
 // the hottest whole-table walk — streams two flat arrays (flags + ages)
-// instead of striding through fat records. Frame is a handle over one slot:
-// its address is stable for the table's lifetime and all field access reads
-// or writes the arrays through accessors.
+// instead of striding through fat records. Lookup by uid goes through an
+// open-addressed index over the uid column (src/common/slot_index.h). Frame
+// is a handle over one slot: its address is stable for the table's lifetime
+// and all field access reads or writes the arrays through accessors.
 #ifndef SRC_MEM_FRAME_TABLE_H_
 #define SRC_MEM_FRAME_TABLE_H_
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
+#include "src/common/slot_index.h"
 #include "src/common/time.h"
 #include "src/common/uid.h"
 
@@ -37,7 +45,8 @@ enum class PageLocation : uint8_t {
 class FrameTable;
 
 // Handle to one frame slot. Stable identity (the handle vector never
-// reallocates); all state lives in the owning table's arrays.
+// reallocates); page state lives in the owning table's arrays, and the
+// handle holds only the slot's LRU-list links.
 class Frame {
  public:
   const Uid& uid() const;
@@ -63,6 +72,7 @@ class Frame {
   uint32_t index_ = UINT32_MAX;
   uint32_t prev_ = UINT32_MAX;
   uint32_t next_ = UINT32_MAX;
+  uint64_t seq_ = 0;  // link sequence: LRU order among equal ages
 };
 
 class FrameTable {
@@ -82,8 +92,12 @@ class FrameTable {
 
   uint32_t num_frames() const { return static_cast<uint32_t>(frames_.size()); }
   uint32_t free_count() const { return static_cast<uint32_t>(free_.size()); }
-  uint32_t local_count() const { return lists_[0].size; }
-  uint32_t global_count() const { return lists_[1].size; }
+  uint32_t local_count() const {
+    return lists_[kLocalClean].size + lists_[kLocalDirty].size;
+  }
+  uint32_t global_count() const {
+    return lists_[kGlobalClean].size + lists_[kGlobalDirty].size;
+  }
   uint32_t used_count() const { return local_count() + global_count(); }
 
   // Returns the frame caching `uid`, or nullptr.
@@ -121,10 +135,10 @@ class FrameTable {
   // gone; clean global pages remain recoverable from disk).
   void Reset();
 
-  // LRU-end (oldest) page of each list, skipping pinned frames; nullptr when
-  // the list has no evictable frame.
-  Frame* OldestLocal() { return OldestOf(0); }
-  Frame* OldestGlobal() { return OldestOf(1); }
+  // Oldest page of each location, clean or dirty, skipping pinned frames;
+  // nullptr when the location has no evictable frame.
+  Frame* OldestLocal();
+  Frame* OldestGlobal();
 
   // The node-level replacement choice (section 3.1): the oldest evictable
   // page, with global pages' ages boosted by `global_age_boost` (>= 1) so
@@ -136,8 +150,9 @@ class FrameTable {
                     bool require_clean = false);
 
   // Oldest unpinned frame satisfying `pred` (ages boosted for global pages
-  // as in PickVictim). Walks both LRU tails; used by N-chance's victim
-  // selection (oldest duplicate / oldest recirculating page).
+  // as in PickVictim; local wins an equal age). Walks the four LRU tails;
+  // used by N-chance's victim selection (oldest duplicate / oldest
+  // recirculating page).
   Frame* OldestMatching(SimTime now, double global_age_boost,
                         const std::function<bool(const Frame&)>& pred);
 
@@ -161,20 +176,34 @@ class FrameTable {
     uint32_t tail = UINT32_MAX;  // LRU
     uint32_t size = 0;
   };
+  // lists_ index: a location's clean list, then its dirty list.
+  static constexpr int kLocalClean = 0;
+  static constexpr int kLocalDirty = 1;
+  static constexpr int kGlobalClean = 2;
+  static constexpr int kGlobalDirty = 3;
 
   bool flag(uint32_t i, uint8_t bit) const { return (flags_[i] & bit) != 0; }
   void set_flag(uint32_t i, uint8_t bit, bool v) {
     flags_[i] = v ? (flags_[i] | bit) : (flags_[i] & ~bit);
   }
 
-  List& list_for(const Frame& f) {
-    return lists_[flag(f.index_, kFlagGlobal) ? 1 : 0];
+  List& list_for(uint32_t i) {
+    return lists_[(flag(i, kFlagGlobal) ? kGlobalClean : kLocalClean) +
+                  (flag(i, kFlagDirty) ? 1 : 0)];
   }
-  void PushMru(Frame* f);
-  void InsertByAge(Frame* f);
+  // LRU order: a is older than b. Ages first, then link order.
+  bool Older(uint32_t a, uint32_t b) const {
+    return ages_[a] != ages_[b] ? ages_[a] < ages_[b]
+                                : frames_[a].seq_ < frames_[b].seq_;
+  }
+  // Links f into its list at its LRU position, walking from the MRU end or
+  // from the LRU end. LinkNew first gives f the newest link sequence.
+  void Link(Frame* f, bool from_lru_end);
+  void LinkNew(Frame* f);
   void Unlink(Frame* f);
-  Frame* OldestOf(int list_index);
-  Frame* OldestOf(int list_index, bool require_clean);
+  void SetDirty(Frame* f, bool dirty);
+  template <typename Pred>
+  Frame* OldestIn(int clean_list, bool clean_only, const Pred& pred);
 
   std::vector<Frame> frames_;  // handles; addresses stable after ctor
   // The SoA columns, parallel to frames_.
@@ -184,8 +213,9 @@ class FrameTable {
   std::vector<uint8_t> recirc_;
 
   std::vector<uint32_t> free_;
-  std::unordered_map<Uid, uint32_t> index_;
-  List lists_[2];  // [0] local, [1] global
+  SlotIndex<Uid> index_;  // uid -> slot, over uids_
+  uint64_t next_seq_ = 0;
+  List lists_[4];
 };
 
 inline const Uid& Frame::uid() const { return table_->uids_[index_]; }
@@ -200,9 +230,7 @@ inline bool Frame::in_use() const {
 inline bool Frame::dirty() const {
   return table_->flag(index_, FrameTable::kFlagDirty);
 }
-inline void Frame::set_dirty(bool v) {
-  table_->set_flag(index_, FrameTable::kFlagDirty, v);
-}
+inline void Frame::set_dirty(bool v) { table_->SetDirty(this, v); }
 inline bool Frame::shared() const {
   return table_->flag(index_, FrameTable::kFlagShared);
 }

@@ -5,7 +5,7 @@
 namespace gms {
 
 void NchancePolicy::EvictClean(Frame* frame) {
-  assert(frame != nullptr && frame->in_use() && !frame->dirty);
+  assert(frame != nullptr && frame->in_use() && !frame->dirty());
 
   // Non-singlets are simply discarded.
   if (frame->duplicated()) {

@@ -184,7 +184,7 @@ void NodeOs::WithFreeFrame(EventFn then) {
     });
     return;
   }
-  assert(victim->dirty);
+  assert(victim->dirty());
   if (service_->EvictDirty(victim)) {
     // The policy replicated the dirty page into cluster memory and freed
     // the frame; no disk write happened.

@@ -87,57 +87,48 @@ SimTime LatencyHistogram::Quantile(double q) const {
 // MetricsRegistry
 // ---------------------------------------------------------------------------
 
-bool MetricsRegistry::RegisterNamed(Metric metric) {
-  for (const auto& m : metrics_) {
-    if (m.name == metric.name) {
-      return false;
-    }
+bool MetricsRegistry::RegisterNamed(std::string name, Metric metric) {
+  if (index_.Find(name, names_.data()) != index_.kNotFound) {
+    return false;
   }
-  names_.push_back(metric.name);
+  names_.push_back(std::move(name));
   metrics_.push_back(std::move(metric));
+  index_.Insert(static_cast<uint32_t>(names_.size() - 1), names_.data());
   return true;
 }
 
 bool MetricsRegistry::RegisterValue(std::string name, ValueFn fn) {
   Metric m;
-  m.name = std::move(name);
   m.kind = Kind::kValue;
   m.value = std::move(fn);
-  return RegisterNamed(std::move(m));
+  return RegisterNamed(std::move(name), std::move(m));
 }
 
 bool MetricsRegistry::RegisterCounter(std::string name, CounterFn fn) {
   Metric m;
-  m.name = std::move(name);
   m.kind = Kind::kCounter;
   m.counter = std::move(fn);
-  return RegisterNamed(std::move(m));
+  return RegisterNamed(std::move(name), std::move(m));
 }
 
 bool MetricsRegistry::RegisterStat(std::string name, StatFn fn) {
   Metric m;
-  m.name = std::move(name);
   m.kind = Kind::kStat;
   m.stat = std::move(fn);
-  return RegisterNamed(std::move(m));
+  return RegisterNamed(std::move(name), std::move(m));
 }
 
 bool MetricsRegistry::RegisterLatency(std::string name, LatencyFn fn) {
   Metric m;
-  m.name = std::move(name);
   m.kind = Kind::kLatency;
   m.latency = std::move(fn);
-  return RegisterNamed(std::move(m));
+  return RegisterNamed(std::move(name), std::move(m));
 }
 
 const MetricsRegistry::Metric* MetricsRegistry::Find(
     std::string_view name) const {
-  for (const auto& m : metrics_) {
-    if (m.name == name) {
-      return &m;
-    }
-  }
-  return nullptr;
+  const size_t i = IndexOf(name);
+  return i == kInvalidIndex ? nullptr : &metrics_[i];
 }
 
 uint64_t MetricsRegistry::PrimaryValue(const Metric& m) const {
@@ -172,12 +163,8 @@ std::optional<MetricsRegistry::Kind> MetricsRegistry::KindOf(
 }
 
 size_t MetricsRegistry::IndexOf(std::string_view name) const {
-  for (size_t i = 0; i < metrics_.size(); i++) {
-    if (metrics_[i].name == name) {
-      return i;
-    }
-  }
-  return kInvalidIndex;
+  const uint32_t i = index_.Find(name, names_.data());
+  return i == index_.kNotFound ? kInvalidIndex : i;
 }
 
 uint64_t MetricsRegistry::ValueAt(size_t index) const {
@@ -246,7 +233,7 @@ std::string MetricsRegistry::ToJson() const {
     order[i] = i;
   }
   std::sort(order.begin(), order.end(), [this](size_t a, size_t b) {
-    return metrics_[a].name < metrics_[b].name;
+    return names_[a] < names_[b];
   });
   std::string out;
   out.reserve(4096 + metrics_.size() * 128);
@@ -255,7 +242,7 @@ std::string MetricsRegistry::ToJson() const {
     const size_t i = order[oi];
     const Metric& m = metrics_[i];
     out += "    ";
-    AppendJsonString(&out, m.name);
+    AppendJsonString(&out, names_[i]);
     out += ": ";
     switch (m.kind) {
       case Kind::kValue:
@@ -301,7 +288,7 @@ std::string MetricsRegistry::ToJson() const {
   for (size_t oi = 0; oi < order.size(); oi++) {
     const size_t i = order[oi];
     out += "      ";
-    AppendJsonString(&out, metrics_[i].name);
+    AppendJsonString(&out, names_[i]);
     out += ": [";
     for (size_t s = 0; s < snapshots_.size(); s++) {
       AppendF(&out, "%s%" PRIu64, s ? ", " : "", snapshots_[s].values[i]);

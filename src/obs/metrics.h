@@ -24,6 +24,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/common/slot_index.h"
 #include "src/common/stats.h"
 #include "src/common/time.h"
 
@@ -77,6 +78,7 @@ class MetricsRegistry {
   using LatencyFn = std::function<const LatencyHistogram*()>;
 
   // Registration (setup time; duplicate names are rejected with false).
+  // Registration and every by-name lookup cost O(1) at any registry size.
   bool RegisterValue(std::string name, ValueFn fn);
   bool RegisterCounter(std::string name, CounterFn fn);
   bool RegisterStat(std::string name, StatFn fn);
@@ -119,8 +121,8 @@ class MetricsRegistry {
   std::string ToJson() const;
 
  private:
+  // One metric's getter; its name is names_ at the same index.
   struct Metric {
-    std::string name;
     Kind kind;
     ValueFn value;
     CounterFn counter;
@@ -128,12 +130,13 @@ class MetricsRegistry {
     LatencyFn latency;
   };
 
-  bool RegisterNamed(Metric metric);
+  bool RegisterNamed(std::string name, Metric metric);
   uint64_t PrimaryValue(const Metric& m) const;
   const Metric* Find(std::string_view name) const;
 
   std::vector<Metric> metrics_;
-  std::vector<std::string> names_;
+  std::vector<std::string> names_;  // parallel to metrics_
+  SlotIndex<std::string, std::hash<std::string_view>> index_;  // over names_
   std::vector<Snapshot> snapshots_;
 };
 

@@ -381,6 +381,46 @@ TEST(AllocTest, EngineDispatchIsAllocationFreeAtSteadyState) {
   EXPECT_EQ(window.frees(), 0u);
 }
 
+TEST(AllocTest, FrameTableChurnIsAllocationFree) {
+  // Every fault and putpage runs Allocate/Free/Touch/set_dirty/PickVictim
+  // on some node's frame table; its lists and uid index are sized at
+  // construction, so a full table churning pages never touches the
+  // allocator.
+  FrameTable frames(64);
+  SimTime now = 0;
+  uint64_t next_page = 0;
+  uint64_t evictions = 0;
+  auto churn = [&](int ops) {
+    for (int i = 0; i < ops; i++) {
+      now += 10;
+      const Uid uid = MakeAnonUid(NodeId{0}, 1, next_page++);
+      if (frames.free_count() == 0) {
+        Frame* victim = frames.PickVictim(now, 1.5, /*require_clean=*/true);
+        if (victim == nullptr) {
+          victim = frames.PickVictim(now, 1.5);
+          victim->set_dirty(false);  // written back
+        }
+        frames.Free(victim);
+        evictions++;
+      }
+      Frame* f = frames.Allocate(
+          uid, i % 3 ? PageLocation::kLocal : PageLocation::kGlobal, now);
+      f->set_dirty(i % 2 == 0);
+      Frame* old = frames.Lookup(MakeAnonUid(NodeId{0}, 1, next_page / 2));
+      if (old != nullptr) {
+        frames.Touch(old, now);
+      }
+    }
+  };
+  churn(1024);  // warm-up: fill the table
+  const AllocWindow window;
+  churn(20000);
+  EXPECT_GT(evictions, 20000u);
+  EXPECT_EQ(window.allocs(), 0u)
+      << "a frame-table operation allocated at steady state";
+  EXPECT_EQ(window.frees(), 0u);
+}
+
 TEST(AllocTest, GhostCacheAccessNeverAllocates) {
   // Ghosts sit directly on the fault hot path of the ensemble and adaptive
   // policies: after construction, Access/Contains/Frequency/set_capacity

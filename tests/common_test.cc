@@ -1,15 +1,19 @@
 // Unit tests for src/common: UIDs, RNG, statistics, histograms, alias
-// sampling, and table rendering.
+// sampling, the open-addressed slot index, and table rendering.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <map>
 #include <sstream>
+#include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "src/common/alias.h"
 #include "src/common/histogram.h"
 #include "src/common/rng.h"
+#include "src/common/slot_index.h"
 #include "src/common/stats.h"
 #include "src/common/table.h"
 #include "src/common/time.h"
@@ -332,6 +336,68 @@ TEST(AliasSamplerTest, ProportionalSampling) {
 }
 
 // --- table ---
+
+// --- slot index ---
+
+// Random insert/erase/find churn over a fixed key column, checked against
+// std::unordered_map. A small table and a narrow key range force long probe
+// chains, wrap-around and backward shifts across the table end.
+TEST(SlotIndexTest, MatchesUnorderedMapUnderChurn) {
+  constexpr uint32_t kRows = 24;
+  std::vector<Uid> keys(kRows, kInvalidUid);
+  std::vector<uint32_t> free_rows;
+  for (uint32_t r = kRows; r-- > 0;) {
+    free_rows.push_back(r);
+  }
+  SlotIndex<Uid> index;
+  index.Reserve(kRows, keys.data());
+  std::unordered_map<Uid, uint32_t> model;
+  Rng rng(5);
+  for (int step = 0; step < 50000; step++) {
+    const Uid uid = MakeUid(1, 0, 3, static_cast<uint32_t>(rng.NextBelow(40)));
+    auto it = model.find(uid);
+    ASSERT_EQ(index.Find(uid, keys.data()),
+              it == model.end() ? index.kNotFound : it->second);
+    if (it != model.end()) {
+      index.Erase(it->second, keys.data());
+      keys[it->second] = kInvalidUid;
+      free_rows.push_back(it->second);
+      model.erase(it);
+    } else if (!free_rows.empty()) {
+      const uint32_t row = free_rows.back();
+      free_rows.pop_back();
+      keys[row] = uid;
+      index.Insert(row, keys.data());
+      model.emplace(uid, row);
+    }
+    ASSERT_EQ(index.size(), model.size());
+  }
+  index.Clear();
+  EXPECT_EQ(index.size(), 0u);
+  for (const auto& [uid, row] : model) {
+    EXPECT_EQ(index.Find(uid, keys.data()), index.kNotFound);
+  }
+}
+
+// An index that starts empty grows with its column (the registry's use),
+// and probes a string column with string_views.
+TEST(SlotIndexTest, GrowsWithAStringColumn) {
+  std::vector<std::string> names;
+  SlotIndex<std::string, std::hash<std::string_view>> index;
+  EXPECT_EQ(index.Find(std::string_view("absent"), names.data()),
+            index.kNotFound);
+  for (uint32_t i = 0; i < 5000; i++) {
+    names.push_back("node" + std::to_string(i) + "/os/faults");
+    index.Insert(i, names.data());
+  }
+  EXPECT_EQ(index.size(), 5000u);
+  for (uint32_t i = 0; i < 5000; i += 7) {
+    const std::string probe = "node" + std::to_string(i) + "/os/faults";
+    EXPECT_EQ(index.Find(std::string_view(probe), names.data()), i);
+  }
+  EXPECT_EQ(index.Find(std::string_view("node5000/os/faults"), names.data()),
+            index.kNotFound);
+}
 
 TEST(TablePrinterTest, AlignsColumns) {
   TablePrinter t({"Operation", "Value"});

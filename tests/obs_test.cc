@@ -309,6 +309,32 @@ TEST(MetricsRegistryTest, RegistersAllKindsAndRejectsDuplicates) {
   EXPECT_EQ(reg.KindOf("nope"), std::nullopt);
 }
 
+// A thousand-node cluster registers ~39,000 metrics; registration and
+// lookup must stay O(1) each, and indices follow registration order.
+TEST(MetricsRegistryTest, ManyMetricsKeepIndicesAndNames) {
+  MetricsRegistry reg;
+  constexpr size_t kNodes = 2000;
+  constexpr const char* kFields[] = {"os/faults", "svc/getpages", "net/bytes"};
+  for (size_t n = 0; n < kNodes; n++) {
+    for (const char* field : kFields) {
+      ASSERT_TRUE(reg.RegisterValue(
+          "node" + std::to_string(n) + "/" + field, [n] { return n; }));
+    }
+  }
+  EXPECT_FALSE(reg.RegisterValue("node1999/net/bytes", [] { return 0u; }));
+  ASSERT_EQ(reg.size(), kNodes * 3);
+  ASSERT_EQ(reg.names().size(), kNodes * 3);
+  for (size_t n = 0; n < kNodes; n += 97) {
+    const std::string name = "node" + std::to_string(n) + "/svc/getpages";
+    const size_t i = reg.IndexOf(name);
+    ASSERT_EQ(i, n * 3 + 1);
+    EXPECT_EQ(reg.names()[i], name);
+    EXPECT_EQ(reg.ValueAt(i), n);
+    EXPECT_EQ(reg.Value(name), n);
+  }
+  EXPECT_EQ(reg.IndexOf("node2000/os/faults"), MetricsRegistry::kInvalidIndex);
+}
+
 TEST(MetricsRegistryTest, SnapshotSeriesTracksCumulativeValues) {
   MetricsRegistry reg;
   uint64_t v = 0;
