@@ -260,20 +260,19 @@ Cell RunCell(const Scenario& scenario, PolicyKind policy, const PaperScale& s) {
 
   if (policy == PolicyKind::kEnsemble) {
     // The busy node's learner; every scenario drives node 0.
-    if (CacheEngine* engine = cluster->cache_engine(NodeId{0})) {
-      if (auto* learner = dynamic_cast<EnsemblePolicy*>(engine->policy())) {
-        RegretAudit audit;
-        audit.scenario = scenario.name;
-        audit.references = learner->references();
-        audit.expected_loss = learner->expected_loss();
-        audit.best_expert_loss =
-            static_cast<double>(learner->best_expert_loss());
-        audit.worst_expert_loss = static_cast<double>(*std::max_element(
-            learner->expert_losses().begin(), learner->expert_losses().end()));
-        audit.bound = learner->RegretBound();
-        audit.ok = audit.expected_loss <= audit.bound + 1e-6;
-        cell.audit = audit;
-      }
+    if (auto* learner = dynamic_cast<EnsemblePolicy*>(
+            cluster->service(NodeId{0}).policy())) {
+      RegretAudit audit;
+      audit.scenario = scenario.name;
+      audit.references = learner->references();
+      audit.expected_loss = learner->expected_loss();
+      audit.best_expert_loss =
+          static_cast<double>(learner->best_expert_loss());
+      audit.worst_expert_loss = static_cast<double>(*std::max_element(
+          learner->expert_losses().begin(), learner->expert_losses().end()));
+      audit.bound = learner->RegretBound();
+      audit.ok = audit.expected_loss <= audit.bound + 1e-6;
+      cell.audit = audit;
     }
   }
 

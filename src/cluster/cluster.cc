@@ -58,7 +58,7 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
       rt->far = std::make_unique<FarMemoryTier>(&sim_, fp);
       rt->far->set_tracer(tracer_.get(), id);
     }
-    rt->service = MakeService(id, *rt);
+    InstallService(*rt, MakeService(id, *rt));
     rt->os = std::make_unique<NodeOs>(&sim_, net_.get(), rt->cpu.get(),
                                       rt->disk.get(), rt->frames.get(),
                                       rt->service.get(), id,
@@ -66,9 +66,6 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
     rt->os->set_tracer(tracer_.get());
     if (rt->far != nullptr) {
       rt->os->AddBackingTier(rt->far.get());
-      if (rt->engine != nullptr) {
-        rt->engine->set_far_tier(rt->far.get());
-      }
     }
     nodes_.push_back(std::move(rt));
     AttachDispatcher(id);
@@ -88,77 +85,72 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
 
 Cluster::~Cluster() = default;
 
-std::unique_ptr<MemoryService> Cluster::MakeService(NodeId id,
-                                                    NodeRuntime& rt) {
+std::unique_ptr<CacheEngine> Cluster::MakeService(NodeId id,
+                                                  NodeRuntime& rt) {
   const uint64_t seed = MixSeed(config_.seed, id.value + 1);
+  EngineConfig engine;
+  std::unique_ptr<ReplacementPolicy> policy;
   switch (config_.policy) {
-    case PolicyKind::kGms: {
-      auto agent = std::make_unique<GmsAgent>(&sim_, net_.get(), rt.cpu.get(),
-                                              rt.frames.get(), id, seed,
-                                              config_.gms);
-      agent->set_tracer(tracer_.get());
-      rt.gms = agent.get();
-      rt.engine = agent.get();
-      return agent;
-    }
-    case PolicyKind::kNchance: {
-      auto agent = std::make_unique<NchanceAgent>(
-          &sim_, net_.get(), rt.cpu.get(), rt.frames.get(), id, seed,
-          config_.nchance);
-      agent->set_tracer(tracer_.get());
-      rt.nchance = agent.get();
-      rt.engine = agent.get();
-      return agent;
-    }
-    case PolicyKind::kLocalLru: {
-      // The engine with no global cache: getpage short-circuits to a miss
-      // and evictions drop to disk. Shares the GMS cost model so per-access
-      // CPU charges line up across policy comparisons.
-      EngineConfig engine;
-      engine.costs = config_.gms.costs;
-      auto agent = std::make_unique<CacheEngine>(
-          &sim_, net_.get(), rt.cpu.get(), rt.frames.get(), id, engine,
-          std::make_unique<LocalLruPolicy>());
-      agent->set_tracer(tracer_.get());
-      rt.engine = agent.get();
-      return agent;
-    }
-    case PolicyKind::kHybridLfu: {
-      EngineConfig engine;
-      engine.costs = config_.lfu.costs;
-      auto agent = std::make_unique<CacheEngine>(
-          &sim_, net_.get(), rt.cpu.get(), rt.frames.get(), id, engine,
-          std::make_unique<HybridLfuPolicy>(seed, config_.lfu));
-      agent->set_tracer(tracer_.get());
-      rt.engine = agent.get();
-      return agent;
-    }
-    case PolicyKind::kEnsemble: {
-      EngineConfig engine;
-      engine.costs = config_.ensemble.costs;
-      auto agent = std::make_unique<CacheEngine>(
-          &sim_, net_.get(), rt.cpu.get(), rt.frames.get(), id, engine,
-          std::make_unique<EnsemblePolicy>(seed, config_.ensemble));
-      agent->set_tracer(tracer_.get());
-      rt.engine = agent.get();
-      return agent;
-    }
-    case PolicyKind::kAdaptiveGms: {
-      // Full GMS (epochs, membership, election) with the ghost-driven
-      // adaptive-MinAge extension forced on.
-      GmsConfig gms = config_.gms;
-      gms.adaptive.enabled = true;
-      auto agent = std::make_unique<GmsAgent>(&sim_, net_.get(), rt.cpu.get(),
-                                              rt.frames.get(), id, seed, gms);
-      agent->set_tracer(tracer_.get());
-      rt.gms = agent.get();
-      rt.engine = agent.get();
-      return agent;
-    }
+    case PolicyKind::kGms:
+    case PolicyKind::kAdaptiveGms:
+      return MakeGmsAgent(id, rt, seed);
+    case PolicyKind::kNchance:
+      // Retries stay disabled (the OSDI '94 baseline pre-dates the
+      // reliability layer and the comparison keeps its original lossy
+      // semantics) and served pages never propagate dirty bits — that is the
+      // GMS dirty-global extension.
+      engine.costs = config_.nchance.costs;
+      engine.getpage_timeout = config_.nchance.getpage_timeout;
+      engine.global_age_boost = config_.nchance.global_age_boost;
+      policy = std::make_unique<NchancePolicy>(seed, config_.nchance);
+      break;
+    case PolicyKind::kLocalLru:
     case PolicyKind::kNone:
-      return std::make_unique<NullMemoryService>(&sim_, rt.frames.get());
+      // The engine with no global cache ("native OSF/1"): getpage
+      // short-circuits to a miss and evictions drop to disk. Shares the GMS
+      // cost model so per-access CPU charges line up across policy
+      // comparisons.
+      engine.costs = config_.gms.costs;
+      policy = std::make_unique<LocalLruPolicy>();
+      break;
+    case PolicyKind::kHybridLfu:
+      engine.costs = config_.lfu.costs;
+      policy = std::make_unique<HybridLfuPolicy>(seed, config_.lfu);
+      break;
+    case PolicyKind::kEnsemble:
+      engine.costs = config_.ensemble.costs;
+      policy = std::make_unique<EnsemblePolicy>(seed, config_.ensemble);
+      break;
   }
-  return nullptr;
+  return std::make_unique<CacheEngine>(&sim_, net_.get(), rt.cpu.get(),
+                                       rt.frames.get(), id, engine,
+                                       std::move(policy));
+}
+
+std::unique_ptr<GmsAgent> Cluster::MakeGmsAgent(NodeId id, NodeRuntime& rt,
+                                                uint64_t seed) {
+  // `adaptive` is full GMS (epochs, membership, election) with the
+  // ghost-driven adaptive-MinAge extension forced on.
+  GmsConfig gms = config_.gms;
+  if (config_.policy == PolicyKind::kAdaptiveGms) {
+    gms.adaptive.enabled = true;
+  }
+  auto agent = std::make_unique<GmsAgent>(&sim_, net_.get(), rt.cpu.get(),
+                                          rt.frames.get(), id, seed, gms);
+  rt.gms = agent.get();
+  return agent;
+}
+
+void Cluster::InstallService(NodeRuntime& rt,
+                             std::unique_ptr<CacheEngine> service) {
+  service->set_tracer(tracer_.get());
+  // The far tier outlives crashes (it is not the node's RAM), so a rebooted
+  // node's fresh engine resumes demoting into it.
+  service->set_far_tier(rt.far.get());
+  rt.service = std::move(service);
+  if (rt.os != nullptr) {
+    rt.os->set_service(rt.service.get());
+  }
 }
 
 void Cluster::RegisterNodeMetrics(uint32_t i) {
@@ -263,10 +255,7 @@ void Cluster::AttachDispatcher(NodeId id) {
       rt.os->OnDatagram(std::move(dgram));
       return;
     }
-    if (rt.engine != nullptr) {
-      rt.engine->OnDatagram(std::move(dgram));
-    }
-    // PolicyKind::kNone: non-NFS traffic is dropped.
+    rt.service->OnDatagram(std::move(dgram));
   });
 }
 
@@ -286,8 +275,8 @@ void Cluster::Start() {
     Simulator::ContextScope in_node(sim_, i + 1);
     if (rt.gms != nullptr) {
       rt.gms->Start(pod, config_.master, config_.first_initiator);
-    } else if (rt.engine != nullptr) {
-      rt.engine->Start(pod);
+    } else {
+      rt.service->Start(pod);
     }
   }
   if (config_.obs.snapshot_interval > 0 || health_ != nullptr) {
@@ -315,16 +304,6 @@ void Cluster::ArmSnapshotTimer() {
     }
     ArmSnapshotTimer();
   });
-}
-
-GmsAgent* Cluster::gms_agent(NodeId node) { return nodes_.at(node.value)->gms; }
-
-NchanceAgent* Cluster::nchance_agent(NodeId node) {
-  return nodes_.at(node.value)->nchance;
-}
-
-CacheEngine* Cluster::cache_engine(NodeId node) {
-  return nodes_.at(node.value)->engine;
 }
 
 WorkloadDriver& Cluster::AddWorkload(NodeId node,
@@ -399,9 +378,7 @@ void Cluster::CrashNode(NodeId node) {
   NodeRuntime& rt = *nodes_.at(node.value);
   Simulator::ContextScope in_node(sim_, node.value + 1);
   net_->SetNodeUp(node, false);
-  if (rt.engine != nullptr) {
-    rt.engine->SetAlive(false);
-  }
+  rt.service->SetAlive(false);
   rt.frames->Reset();
 }
 
@@ -409,33 +386,17 @@ void Cluster::RestartNode(NodeId node) {
   NodeRuntime& rt = *nodes_.at(node.value);
   Simulator::ContextScope in_node(sim_, node.value + 1);
   net_->SetNodeUp(node, true);
-  if (config_.policy == PolicyKind::kGms ||
-      config_.policy == PolicyKind::kAdaptiveGms) {
+  if (rt.gms != nullptr) {
     // Fresh agent: a rebooted kernel has no directory or epoch state.
-    GmsConfig gms = config_.gms;
-    if (config_.policy == PolicyKind::kAdaptiveGms) {
-      gms.adaptive.enabled = true;
-    }
-    auto agent = std::make_unique<GmsAgent>(
-        &sim_, net_.get(), rt.cpu.get(), rt.frames.get(), node,
-        MixSeed(config_.seed, 0x20000 + node.value), gms);
-    agent->set_tracer(tracer_.get());
-    rt.gms = agent.get();
-    rt.engine = agent.get();
-    rt.service = std::move(agent);
-    rt.os->set_service(rt.service.get());
-    if (rt.far != nullptr) {
-      // The far tier survived the crash (it is not the node's RAM); the
-      // fresh agent resumes demoting into it.
-      rt.engine->set_far_tier(rt.far.get());
-    }
+    const uint64_t seed = MixSeed(config_.seed, 0x20000 + node.value);
+    InstallService(rt, MakeGmsAgent(node, rt, seed));
     std::vector<NodeId> self_only{node};
     rt.gms->Start(Pod::Build(0, self_only), config_.master, kInvalidNode);
     rt.gms->Join(config_.master);
-  } else if (rt.engine != nullptr) {
-    // Memory was lost (frames reset) but the agent and its directory
+  } else {
+    // Memory was lost (frames reset) but the engine and its directory
     // partition survive; the node simply resumes participating.
-    rt.engine->SetAlive(true);
+    rt.service->SetAlive(true);
   }
 }
 

@@ -1,5 +1,5 @@
 // Cluster assembly: builds a complete simulated cluster — network, one CPU,
-// disk, frame table, memory-policy agent and node/OS layer per node — from a
+// disk, frame table, cache engine and node/OS layer per node — from a
 // declarative config, wires the per-node message dispatch, and provides the
 // run/crash/metrics controls the experiments use.
 #ifndef SRC_CLUSTER_CLUSTER_H_
@@ -12,14 +12,14 @@
 
 #include "src/cluster/policy_registry.h"
 #include "src/cluster/workload_driver.h"
+#include "src/core/cache_engine.h"
 #include "src/core/ensemble_policy.h"
 #include "src/core/gms_agent.h"
 #include "src/core/hybrid_lfu_policy.h"
-#include "src/core/memory_service.h"
 #include "src/disk/disk.h"
 #include "src/mem/far_memory.h"
 #include "src/mem/frame_table.h"
-#include "src/nchance/nchance_agent.h"
+#include "src/nchance/nchance_policy.h"
 #include "src/net/network.h"
 #include "src/node/node_os.h"
 #include "src/obs/health.h"
@@ -105,12 +105,13 @@ class Cluster {
   }
   FrameTable& frames(NodeId node) { return *nodes_.at(node.value)->frames; }
   NodeOs& node_os(NodeId node) { return *nodes_.at(node.value)->os; }
-  MemoryService& service(NodeId node) { return *nodes_.at(node.value)->service; }
-  // Typed agent accessors; nullptr when the policy does not match.
-  GmsAgent* gms_agent(NodeId node);
-  NchanceAgent* nchance_agent(NodeId node);
-  // The shared engine; nullptr only for PolicyKind::kNone.
-  CacheEngine* cache_engine(NodeId node);
+  // The node's cache engine, under every policy (`none` included). Replaced
+  // by a fresh one when a GMS node reboots, so do not hold the reference
+  // across RestartNode.
+  CacheEngine& service(NodeId node) { return *nodes_.at(node.value)->service; }
+  // The same engine as its GMS face; nullptr unless the policy is `gms` or
+  // `adaptive`. Other policies are reached via service(node).policy().
+  GmsAgent* gms_agent(NodeId node) { return nodes_.at(node.value)->gms; }
 
   // --- workloads ---
   WorkloadDriver& AddWorkload(NodeId node, std::unique_ptr<AccessPattern> pattern,
@@ -134,10 +135,11 @@ class Cluster {
   bool RunUntilQuiescent(SimTime max_time = Seconds(60));
 
   // --- faults/membership ---
-  // Crashes a node: network down, agent stopped, memory contents lost.
+  // Crashes a node: network down, engine stopped, memory contents lost.
   void CrashNode(NodeId node);
-  // Reboots a crashed node with empty memory and a fresh agent, which joins
-  // via the master (GMS policy only).
+  // Reboots a crashed node with empty memory. Under gms/adaptive it gets a
+  // fresh agent, which joins via the master; other policies resume their
+  // surviving engine.
   void RestartNode(NodeId node);
 
   // --- metrics ---
@@ -177,16 +179,16 @@ class Cluster {
     // rebooted node finds its demoted pages still there.
     std::unique_ptr<FarMemoryTier> far;
     std::unique_ptr<FrameTable> frames;
-    std::unique_ptr<MemoryService> service;
-    // Views into `service`. `engine` is set for every CacheEngine-backed
-    // policy (all but kNone); the typed pointers only when the kind matches.
-    CacheEngine* engine = nullptr;
-    GmsAgent* gms = nullptr;          // view into `service` when policy == kGms
-    NchanceAgent* nchance = nullptr;  // view when policy == kNchance
+    std::unique_ptr<CacheEngine> service;
+    GmsAgent* gms = nullptr;  // view into `service` under gms/adaptive
     std::unique_ptr<NodeOs> os;
   };
 
-  std::unique_ptr<MemoryService> MakeService(NodeId id, NodeRuntime& rt);
+  std::unique_ptr<CacheEngine> MakeService(NodeId id, NodeRuntime& rt);
+  std::unique_ptr<GmsAgent> MakeGmsAgent(NodeId id, NodeRuntime& rt,
+                                         uint64_t seed);
+  // Wires a freshly built engine into the node: tracer, far tier, NodeOs.
+  void InstallService(NodeRuntime& rt, std::unique_ptr<CacheEngine> service);
   void AttachDispatcher(NodeId id);
   void RegisterNodeMetrics(uint32_t i);
   void ArmSnapshotTimer();

@@ -12,7 +12,7 @@
 namespace gms {
 
 enum class PolicyKind {
-  kNone,         // native OSF/1: no cluster memory (NullMemoryService)
+  kNone,         // native OSF/1; builds the same engine as kLocalLru
   kGms,          // the paper's algorithm
   kNchance,      // N-chance forwarding baseline
   kLocalLru,     // engine-hosted no-global-cache baseline

@@ -226,8 +226,6 @@ void CacheEngine::GetPage(const Uid& uid, GetPageCallback callback,
   if (!uses_remote_cache_) {
     // No global cache to consult (the paper's "no remote paging" baseline):
     // every getpage is an instant miss and the caller falls through to disk.
-    // Matches NullMemoryService so `--policy=local` and `--policy=none`
-    // count identically.
     stats_.getpage_attempts++;
     stats_.getpage_misses++;
     sim_->After(0, [cb = std::move(callback), parent]() mutable {

@@ -1,5 +1,5 @@
-// The mechanism half of the policy/mechanism split: one engine implements
-// MemoryService for every replacement policy.
+// The mechanism half of the policy/mechanism split: one engine serves every
+// replacement policy, and it is what the node/OS layer talks to.
 //
 // The engine owns everything the paper's low-level substrate provides
 // regardless of algorithm (sections 2 and 4):
@@ -12,7 +12,9 @@
 //   * causal-span propagation and the shared MemoryServiceStats.
 //
 // Everything algorithmic — victim choice, eviction targeting, epochs,
-// membership, recirculation — lives behind the ReplacementPolicy seam.
+// membership, recirculation — lives behind the ReplacementPolicy seam. The
+// "native OSF/1" baseline every speedup is measured against is this engine
+// with LocalLruPolicy: every getpage misses, every eviction is dropped.
 //
 // Threading: none. Driven entirely by simulator events; all CPU costs are
 // charged to the node's Cpu (Figures 10/13).
@@ -78,23 +80,60 @@ struct EngineConfig {
   bool propagate_dirty = false;
 };
 
-class CacheEngine : public MemoryService {
+class CacheEngine {
  public:
   CacheEngine(Simulator* sim, Network* net, Cpu* cpu, FrameTable* frames,
               NodeId self, EngineConfig config,
               std::unique_ptr<ReplacementPolicy> policy);
+  // GmsAgent derives from the engine and is owned through this type.
+  virtual ~CacheEngine() = default;
 
   // Installs the initial membership and starts protocol processing (the
   // policy's OnStart hook arms its timers). Must be called exactly once per
   // boot.
   void Start(const PodTable& pod);
 
-  // --- MemoryService ---
-  void GetPage(const Uid& uid, GetPageCallback callback,
-               SpanRef parent = {}) override;
-  void EvictClean(Frame* frame) override { policy_->EvictClean(frame); }
-  void OnPageLoaded(Frame* frame) override;
-  bool EvictDirty(Frame* frame) override { return policy_->EvictDirty(frame); }
+  // --- node/OS interface ---
+  // Tries to fetch `uid` from cluster memory. The callback always fires
+  // (possibly after a timeout) exactly once, never inside GetPage itself; on
+  // a miss the caller reads the page from disk or the file server. `parent`
+  // is the caller's causal span (the fault span); with no parent — or
+  // tracing off — the engine roots a fresh trace for the operation.
+  void GetPage(const Uid& uid, GetPageCallback callback, SpanRef parent = {});
+  // Takes ownership of a clean, unreferenced frame the pageout daemon chose
+  // to evict, and applies the policy: forward to another node, keep locally
+  // as a global page, or discard. The frame is freed (possibly after a
+  // marshaling delay). Dirty pages must be written to disk by the caller
+  // first (only clean pages ever enter global memory — section 3.3).
+  void EvictClean(Frame* frame) { policy_->EvictClean(frame); }
+  // Notifies the policy that a page was loaded from backing store into a
+  // local frame, so location directories can be updated.
+  void OnPageLoaded(Frame* frame);
+  // Dirty-global extension (paper section 6 future work, off by default):
+  // offers a dirty frame to the policy *instead of* writing it to disk
+  // first. Returns true if the policy took ownership (replicating the page
+  // into the global memory of multiple nodes and freeing the frame); false
+  // means the caller must perform the ordinary disk write-back.
+  bool EvictDirty(Frame* frame) { return policy_->EvictDirty(frame); }
+  // Tier decision: after a fill from the far tier, should the far copy be
+  // evicted (exclusive caching)?
+  bool PromoteOnFarFill(const Uid& uid) {
+    return policy_->PromoteOnFarFill(uid);
+  }
+
+  const MemoryServiceStats& stats() const { return stats_; }
+  void ResetStats() { stats_ = MemoryServiceStats{}; }
+  // Memory-hierarchy accounting, called by the node/OS fill path: one
+  // NoteFill per resolved miss, tagged with the tier that supplied the data.
+  void NoteFill(FillSource source) {
+    switch (source) {
+      case FillSource::kZero: stats_.fills_zero++; break;
+      case FillSource::kFarMemory: stats_.fills_far++; break;
+      case FillSource::kLocalDisk: stats_.fills_disk++; break;
+      case FillSource::kNfs: stats_.fills_nfs++; break;
+    }
+  }
+  void NoteFarPromotion() { stats_.far_promotions++; }
 
   // Called by the cluster when this node crashes (stops timers; the network
   // is taken down separately) or reboots.
@@ -150,9 +189,6 @@ class CacheEngine : public MemoryService {
   // tier attached, clean discards consult the policy's DemoteOnDiscard and
   // write the page into far memory instead of dropping it.
   void set_far_tier(BackingTier* far) { far_ = far; }
-  bool PromoteOnFarFill(const Uid& uid) override {
-    return policy_->PromoteOnFarFill(uid);
-  }
 
  private:
   friend class ReplacementPolicy;
@@ -285,6 +321,7 @@ class CacheEngine : public MemoryService {
   FrameTable* frames_;
   NodeId self_;
   EngineConfig config_;
+  MemoryServiceStats stats_;
   Tracer* tracer_ = nullptr;
   bool alive_ = false;
   BackingTier* far_ = nullptr;  // this node's far tier; null = two-level

@@ -1,8 +1,8 @@
 // LocalLruPolicy: no global cache at all — the paper's baseline system
 // (section 5.2's "without global memory management"). Every eviction goes to
 // disk, every getpage is an instant miss, and no directory state is
-// maintained. Proves the ReplacementPolicy seam from the degenerate end and
-// gives benches a policy-shaped stand-in for NullMemoryService.
+// maintained. Proves the ReplacementPolicy seam from the degenerate end; both
+// `--policy=local` and `--policy=none` ("native OSF/1") build it.
 #ifndef SRC_CORE_LOCAL_LRU_POLICY_H_
 #define SRC_CORE_LOCAL_LRU_POLICY_H_
 

@@ -1,23 +1,18 @@
-// The node-facing interface to a cluster memory policy.
+// The data types shared by the node/OS layer and the cache engine: the
+// getpage result and callback, the per-node service counters, and the tier
+// tag of a miss's fill.
 //
-// The node/OS layer (src/node) is written against this interface. Two
-// implementations exist:
-//   * CacheEngine (src/core/cache_engine.h) — the shared protocol mechanism,
-//     specialized by a pluggable ReplacementPolicy (GMS, N-chance,
-//     local-LRU, hybrid-LFU; see src/core/replacement_policy.h),
-//   * NullMemoryService — no cluster memory at all ("native OSF/1"),
-//     the denominator of every speedup the paper reports.
+// Every policy, `none` included, is one CacheEngine (src/core/cache_engine.h)
+// specialized by a ReplacementPolicy (src/core/replacement_policy.h);
+// NodeOs (src/node) talks to that engine directly.
 #ifndef SRC_CORE_MEMORY_SERVICE_H_
 #define SRC_CORE_MEMORY_SERVICE_H_
 
 #include <cstdint>
 
-#include "src/common/uid.h"
-#include "src/mem/frame_table.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/sim/inline_fn.h"
-#include "src/sim/simulator.h"
 
 namespace gms {
 
@@ -90,98 +85,6 @@ struct MemoryServiceStats {
 
 // Which layer of the memory hierarchy satisfied a getpage miss.
 enum class FillSource : uint8_t { kZero, kFarMemory, kLocalDisk, kNfs };
-
-class MemoryService {
- public:
-  virtual ~MemoryService() = default;
-
-  // Tries to fetch `uid` from cluster memory. The callback always fires
-  // (possibly after a timeout) exactly once; on a miss the caller reads the
-  // page from disk or the file server. `parent` is the caller's causal span
-  // (the fault span); with no parent — or tracing off — the service roots a
-  // fresh trace for the operation. The default argument is repeated on
-  // overriders so both static types behave identically.
-  virtual void GetPage(const Uid& uid, GetPageCallback callback,
-                       SpanRef parent = {}) = 0;
-
-  // Takes ownership of a clean, unreferenced frame the pageout daemon chose
-  // to evict, and applies the policy: forward to another node, keep locally
-  // as a global page, or discard. The frame is freed (possibly after a
-  // marshaling delay). Dirty pages must be written to disk by the caller
-  // first (only clean pages ever enter global memory — section 3.3).
-  virtual void EvictClean(Frame* frame) = 0;
-
-  // Notifies the policy that a page was loaded from backing store into a
-  // local frame, so location directories can be updated.
-  virtual void OnPageLoaded(Frame* frame) = 0;
-
-  // Dirty-global extension (paper section 6 future work, off by default):
-  // offers a dirty frame to the policy *instead of* writing it to disk
-  // first. Returns true if the policy took ownership (replicating the page
-  // into the global memory of multiple nodes and freeing the frame); false
-  // means the caller must perform the ordinary disk write-back.
-  virtual bool EvictDirty(Frame* frame) {
-    (void)frame;
-    return false;
-  }
-
-  const MemoryServiceStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = MemoryServiceStats{}; }
-
-  // Memory-hierarchy accounting, called by the node/OS fill path: one
-  // NoteFill per resolved miss, tagged with the tier that supplied the data.
-  void NoteFill(FillSource source) {
-    switch (source) {
-      case FillSource::kZero: stats_.fills_zero++; break;
-      case FillSource::kFarMemory: stats_.fills_far++; break;
-      case FillSource::kLocalDisk: stats_.fills_disk++; break;
-      case FillSource::kNfs: stats_.fills_nfs++; break;
-    }
-  }
-  void NoteFarPromotion() { stats_.far_promotions++; }
-
-  // Tier decision: after a fill from the far tier, should the far copy be
-  // evicted (exclusive caching)? CacheEngine forwards this to the
-  // ReplacementPolicy; the default keeps tiers exclusive so far capacity is
-  // not wasted on pages that are now in RAM.
-  virtual bool PromoteOnFarFill(const Uid& uid) {
-    (void)uid;
-    return true;
-  }
-
- protected:
-  MemoryServiceStats stats_;
-};
-
-// "Native OSF/1": every getpage misses, every eviction is a plain free.
-class NullMemoryService final : public MemoryService {
- public:
-  NullMemoryService(Simulator* sim, FrameTable* frames)
-      : sim_(sim), frames_(frames) {}
-
-  void GetPage(const Uid& uid, GetPageCallback callback,
-               SpanRef parent = {}) override {
-    (void)uid;
-    stats_.getpage_attempts++;
-    stats_.getpage_misses++;
-    // Asynchronous like the real services, so callers never re-enter. The
-    // miss resolves on the caller's own span: disk fallback keeps stamping
-    // there.
-    sim_->After(0, [cb = std::move(callback), parent]() mutable {
-      GetPageResult result;
-      result.span = parent;
-      cb(result);
-    });
-  }
-
-  void EvictClean(Frame* frame) override { frames_->Free(frame); }
-
-  void OnPageLoaded(Frame* frame) override { (void)frame; }
-
- private:
-  Simulator* sim_;
-  FrameTable* frames_;
-};
 
 }  // namespace gms
 

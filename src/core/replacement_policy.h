@@ -11,12 +11,15 @@
 //   * which extra message types the node understands,
 //   * whether the node participates in the global cache at all.
 //
-// Four policies implement the interface:
+// Five policies implement the interface:
 //   * GmsPolicy (src/core/gms_policy.h)        — the paper's epoch/MinAge
-//     algorithm with weighted eviction targeting,
+//     algorithm with weighted eviction targeting (`gms`, and `adaptive`
+//     with the ghost-driven MinAge extension on),
 //   * NchancePolicy (src/nchance)              — N-chance forwarding,
-//   * LocalLruPolicy (src/core)                — no global cache (baseline),
-//   * HybridLfuPolicy (src/core)               — frequency-aware forwarding.
+//   * LocalLruPolicy (src/core)                — no global cache: the
+//     "native OSF/1" baseline (`local` and `none`),
+//   * HybridLfuPolicy (src/core)               — frequency-aware forwarding,
+//   * EnsemblePolicy (src/core)                — regret-weighted experts.
 //
 // A policy is bound to exactly one engine for its whole life. The protected
 // mirrors and forwarders below are named after the engine members they reach
@@ -53,7 +56,7 @@ class ReplacementPolicy {
   virtual void OnStop() {}
 
   // Takes ownership of a clean, unreferenced frame the pageout daemon chose
-  // to evict: forward, keep, or discard (see MemoryService::EvictClean).
+  // to evict: forward, keep, or discard (see CacheEngine::EvictClean).
   virtual void EvictClean(Frame* frame) = 0;
 
   // Dirty-global extension hook; false means the caller writes to disk.

@@ -5,12 +5,13 @@
 #include <utility>
 
 #include "src/common/log.h"
+#include "src/core/cache_engine.h"
 #include "src/core/messages.h"
 
 namespace gms {
 
 NodeOs::NodeOs(Simulator* sim, Network* net, Cpu* cpu, Disk* disk,
-               FrameTable* frames, MemoryService* service, NodeId self,
+               FrameTable* frames, CacheEngine* service, NodeId self,
                CostModel costs, NodeParams params)
     : sim_(sim), net_(net), cpu_(cpu), disk_(disk), frames_(frames),
       service_(service), self_(self), costs_(costs), params_(params) {

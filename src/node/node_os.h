@@ -7,8 +7,8 @@
 // promote-to-global: "our system allows a disk write to complete as usual
 // but promotes that page into the global cache"), and doubles as an NFS
 // client/server for shared file pages. All policy decisions about cluster
-// memory are delegated to the attached MemoryService (GMS, N-chance, or
-// none).
+// memory are delegated to the node's CacheEngine (src/core/cache_engine.h),
+// whichever replacement policy it hosts.
 #ifndef SRC_NODE_NODE_OS_H_
 #define SRC_NODE_NODE_OS_H_
 
@@ -22,7 +22,6 @@
 #include "src/common/uid.h"
 #include "src/core/cost_model.h"
 #include "src/core/directory.h"
-#include "src/core/memory_service.h"
 #include "src/disk/disk.h"
 #include "src/mem/backing_tier.h"
 #include "src/mem/frame_table.h"
@@ -33,6 +32,8 @@
 #include "src/sim/simulator.h"
 
 namespace gms {
+
+class CacheEngine;
 
 struct NodeParams {
   // Pageout daemon wakes below `free_low` free frames and reclaims up to
@@ -73,7 +74,7 @@ struct NodeOsStats {
 class NodeOs {
  public:
   NodeOs(Simulator* sim, Network* net, Cpu* cpu, Disk* disk, FrameTable* frames,
-         MemoryService* service, NodeId self, CostModel costs,
+         CacheEngine* service, NodeId self, CostModel costs,
          NodeParams params = {});
 
   // Touches one page on behalf of the local workload; `done` fires when the
@@ -86,7 +87,7 @@ class NodeOs {
 
   // Swaps the policy backend (used when a crashed node reboots with a fresh
   // agent).
-  void set_service(MemoryService* service) { service_ = service; }
+  void set_service(CacheEngine* service) { service_ = service; }
 
   // Attaches a backing tier above the disk/NFS backstop. Tiers are walked in
   // attach order on every fill: the first one holding the page serves it
@@ -134,7 +135,7 @@ class NodeOs {
   Cpu* cpu_;
   Disk* disk_;
   FrameTable* frames_;
-  MemoryService* service_;
+  CacheEngine* service_;
   // Backing tiers above the disk/NFS backstop, in lookup order.
   std::vector<BackingTier*> tiers_;
   NodeId self_;

@@ -95,7 +95,7 @@ enum class SpanOp : uint32_t {
   kFault = 1,    // page fault (NodeOs::Fault)
   kPutPage = 2,  // putpage flush / dirty replication / write-back
   kEpoch = 3,    // epoch round (trace id derived from the epoch number)
-  kGetPage = 4,  // bare MemoryService::GetPage with no enclosing fault
+  kGetPage = 4,  // bare CacheEngine::GetPage with no enclosing fault
 };
 
 // Component label stamped by kSpanStep: the interval since the previous

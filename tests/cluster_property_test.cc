@@ -83,18 +83,15 @@ TEST_P(ClusterPropertyTest, GlobalPagesHaveSingleCopy) {
 }
 
 TEST_P(ClusterPropertyTest, DirectoryPointsAtRealHolders) {
-  if (GetParam().policy == PolicyKind::kNone) {
-    GTEST_SKIP() << "no directory without a policy";
-  }
-  if (GetParam().policy == PolicyKind::kLocalLru) {
+  if (GetParam().policy == PolicyKind::kNone ||
+      GetParam().policy == PolicyKind::kLocalLru) {
     GTEST_SKIP() << "no directory registrations without a global cache";
   }
   auto cluster = RunMixedCluster(GetParam().seed, GetParam().policy);
   uint64_t entries = 0;
   uint64_t stale = 0;
   for (uint32_t n = 0; n < cluster->num_nodes(); n++) {
-    CacheEngine* engine = cluster->cache_engine(NodeId{n});
-    ASSERT_NE(engine, nullptr);
+    CacheEngine* engine = &cluster->service(NodeId{n});
     const GcdTable* gcd = &engine->gcd();
     // Walk the directory via the frames of every node: for each cached page
     // whose GCD section is node n, the entry must list that holder.

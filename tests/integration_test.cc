@@ -190,9 +190,9 @@ TEST(IntegrationTest, NchanceSmokeUsesRemoteMemory) {
   ASSERT_TRUE(cluster.RunUntilWorkloadsDone());
   const auto& svc = cluster.service(NodeId{0}).stats();
   EXPECT_GT(svc.getpage_hits, 1000u);
-  const auto* agent = cluster.nchance_agent(NodeId{0});
-  ASSERT_NE(agent, nullptr);
-  EXPECT_GT(agent->nchance_stats().forwards_sent, 0u);
+  const auto* policy =
+      static_cast<const NchancePolicy*>(cluster.service(NodeId{0}).policy());
+  EXPECT_GT(policy->nchance_stats().forwards_sent, 0u);
 }
 
 TEST(IntegrationTest, EpochsRotateAndDistributeWeights) {

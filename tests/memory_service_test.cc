@@ -1,12 +1,13 @@
-// Tests for the MemoryService interface contract itself: the EvictDirty
-// default (dirty pages go to disk unless a policy opts in), and the
-// NullMemoryService baseline ("native OSF/1") that every speedup in the
-// paper is measured against. These are the semantics the node/OS layer
-// relies on regardless of which policy is plugged in.
+// Tests for the node/OS-facing contract of the cache engine: the EvictDirty
+// default (dirty pages go to disk unless a policy opts in), and the `none`
+// baseline ("native OSF/1") that every speedup in the paper is measured
+// against. These are the semantics the node/OS layer relies on regardless of
+// which policy is plugged in.
 #include <gtest/gtest.h>
 
 #include <memory>
 
+#include "src/cluster/cluster.h"
 #include "src/core/cache_engine.h"
 #include "src/core/directory.h"
 #include "src/core/local_lru_policy.h"
@@ -19,11 +20,24 @@
 namespace gms {
 namespace {
 
+// The service a `--policy=none` node gets, built the way the cluster builds
+// it: one node with eight frames and no workload.
 class NullMemoryServiceTest : public ::testing::Test {
  protected:
-  Simulator sim_;
-  FrameTable frames_{8};
-  NullMemoryService svc_{&sim_, &frames_};
+  static ClusterConfig NoneConfig() {
+    ClusterConfig config;
+    config.num_nodes = 1;
+    config.policy = PolicyKind::kNone;
+    config.frames = 8;
+    return config;
+  }
+
+  NullMemoryServiceTest() { cluster_.Start(); }
+
+  Cluster cluster_{NoneConfig()};
+  Simulator& sim_ = cluster_.sim();
+  FrameTable& frames_ = cluster_.frames(NodeId{0});
+  CacheEngine& svc_ = cluster_.service(NodeId{0});
 };
 
 TEST_F(NullMemoryServiceTest, GetPageAlwaysMissesAsynchronously) {
@@ -49,7 +63,7 @@ TEST_F(NullMemoryServiceTest, GetPageAlwaysMissesAsynchronously) {
 
 TEST_F(NullMemoryServiceTest, GetPageResolvesOnTheCallersSpan) {
   // The miss lands back on the caller's fault span so disk fallback keeps
-  // stamping there — NullMemoryService must pass the parent through
+  // stamping there — the `none` service must pass the parent through
   // untouched rather than rooting a trace of its own.
   SpanRef parent;
   parent.trace = 0x1234;
@@ -84,8 +98,8 @@ TEST_F(NullMemoryServiceTest, OnPageLoadedIsANoOp) {
 }
 
 TEST_F(NullMemoryServiceTest, EvictDirtyDefaultsToDiskWriteBack) {
-  // The base-class default: the service declines the dirty frame, the
-  // caller performs the ordinary disk write-back. The frame must NOT be
+  // The policy default: the service declines the dirty frame, the caller
+  // performs the ordinary disk write-back. The frame must NOT be
   // freed — the caller still owns it until the write completes.
   const Uid uid = MakeAnonUid(NodeId{0}, 1, 4);
   Frame* frame = frames_.Allocate(uid, PageLocation::kLocal, sim_.now());
@@ -145,7 +159,7 @@ TEST_F(NullMemoryServiceTest, ResetStatsClearsTierCounters) {
 // The engine delegates EvictDirty straight to the policy, and the policy
 // interface's own default is the same "write it back yourself" answer —
 // a policy that never heard of dirty globals composes with the engine into
-// exactly the base MemoryService behaviour.
+// "write it back yourself".
 TEST(CacheEngineEvictDirtyTest, PolicyDefaultDeclinesDirtyFrames) {
   Simulator sim;
   Network net(&sim, 1);
@@ -158,14 +172,13 @@ TEST(CacheEngineEvictDirtyTest, PolicyDefaultDeclinesDirtyFrames) {
   Frame* frame = frames.Allocate(uid, PageLocation::kLocal, sim.now());
   ASSERT_NE(frame, nullptr);
   frame->set_dirty(true);
-  MemoryService& svc = engine;  // through the interface, like NodeOs does
-  EXPECT_FALSE(svc.EvictDirty(frame));
+  EXPECT_FALSE(engine.EvictDirty(frame));
   EXPECT_EQ(frames.Lookup(uid), frame);
 }
 
-// The no-remote-cache short circuit: `--policy=local` must count and behave
-// exactly like NullMemoryService so the two baselines are interchangeable
-// denominators.
+// The no-remote-cache short circuit that `--policy=local` and `--policy=none`
+// share, on a bare engine: an asynchronous miss on the caller's span, counted
+// once, with nothing on the wire.
 TEST(CacheEngineEvictDirtyTest, LocalPolicyGetPageMatchesNullService) {
   Simulator sim;
   Network net(&sim, 1);

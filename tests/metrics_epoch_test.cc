@@ -4,7 +4,7 @@
 // times strictly increase, every series is monotone nondecreasing, and the
 // final snapshot tiles exactly to the end-of-run totals — no events lost or
 // double-counted between epochs. A second test proves the getter
-// indirection survives a node crash + reboot replacing its MemoryService.
+// indirection survives a node crash + reboot replacing its CacheEngine.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -99,7 +99,7 @@ TEST(MetricsEpochTest, SnapshotsOffByDefault) {
   EXPECT_TRUE(cluster->metrics().snapshots().empty());
 }
 
-// A reboot tears down the node's MemoryService and builds a fresh GmsAgent;
+// A reboot tears down the node's CacheEngine and builds a fresh GmsAgent;
 // the registry's getters must follow the replacement rather than read (or
 // dangle on) the dead object.
 TEST(MetricsEpochTest, MetricsTrackNodeCrashAndRestart) {

@@ -33,7 +33,9 @@ class NchanceTest : public ::testing::Test {
     }
   }
 
-  NchanceAgent& agent(uint32_t i) { return *cluster_->nchance_agent(NodeId{i}); }
+  NchancePolicy& agent(uint32_t i) {
+    return static_cast<NchancePolicy&>(*cluster_->service(NodeId{i}).policy());
+  }
   std::unique_ptr<Cluster> cluster_;
 };
 

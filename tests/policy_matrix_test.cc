@@ -22,34 +22,44 @@ struct MatrixCase {
   bool remote_cache;  // does the policy serve getpage hits from peers?
 };
 
-class PolicyMatrixTest : public ::testing::TestWithParam<MatrixCase> {};
+// Working set ~3x node 0's memory, revisited several times: plenty of
+// evictions (putpage/forward/drop traffic) and re-faults (getpage).
+constexpr uint64_t kFootprint = 192;
+constexpr uint64_t kAccesses = kFootprint * 6;
+
+class PolicyMatrixTest : public ::testing::TestWithParam<MatrixCase> {
+ protected:
+  // One small busy node (0) and two idle donors, with the overflow workload
+  // started on node 0.
+  static std::unique_ptr<Cluster> StartOverflowCluster(PolicyKind policy) {
+    ClusterConfig config;
+    config.num_nodes = 3;
+    config.policy = policy;
+    config.frames_per_node = {64, 512, 512};
+    config.frames = 64;
+    config.seed = 7;
+    auto cluster = std::make_unique<Cluster>(config);
+    cluster->Start();
+    cluster->AddWorkload(
+        NodeId{0},
+        std::make_unique<UniformRandomPattern>(
+            PageSet{MakeAnonUid(NodeId{0}, 1, 0), kFootprint}, kAccesses,
+            Microseconds(30), /*write_fraction=*/0.2),
+        "overflow");
+    cluster->StartWorkloads();
+    return cluster;
+  }
+};
 
 TEST_P(PolicyMatrixTest, OverflowWorkloadCompletesAndQuiesces) {
   const MatrixCase& c = GetParam();
-  ClusterConfig config;
-  config.num_nodes = 3;
-  config.policy = c.policy;
-  config.frames_per_node = {64, 512, 512};
-  config.frames = 64;
-  config.seed = 7;
-  Cluster cluster(config);
-  cluster.Start();
-
-  // Working set ~3x node 0's memory, revisited several times: plenty of
-  // evictions (putpage/forward/drop traffic) and re-faults (getpage).
-  const uint64_t footprint = 192;
-  cluster.AddWorkload(
-      NodeId{0},
-      std::make_unique<UniformRandomPattern>(
-          PageSet{MakeAnonUid(NodeId{0}, 1, 0), footprint}, footprint * 6,
-          Microseconds(30), /*write_fraction=*/0.2),
-      "overflow");
-  cluster.StartWorkloads();
+  auto owned = StartOverflowCluster(c.policy);
+  Cluster& cluster = *owned;
   ASSERT_TRUE(cluster.RunUntilWorkloadsDone(Seconds(120)));
   EXPECT_TRUE(cluster.RunUntilQuiescent(Seconds(10)));
 
   const Cluster::Totals t = cluster.totals();
-  EXPECT_EQ(t.accesses, footprint * 6);
+  EXPECT_EQ(t.accesses, kAccesses);
   EXPECT_GT(t.faults, 0u);
   // Every remote hit and every disk read was triggered by some fault (the
   // remainder are first-touch zero-fills of anonymous pages).
@@ -67,6 +77,32 @@ TEST_P(PolicyMatrixTest, OverflowWorkloadCompletesAndQuiesces) {
     // The baselines must generate no cluster-memory traffic at all.
     EXPECT_EQ(t.getpage_hits, 0u);
     EXPECT_EQ(s0.putpages_sent, 0u);
+  }
+}
+
+// A donor crashes mid-run and reboots with empty memory: the busy node's
+// getpages to it time out or miss, and the workload still finishes with every
+// miss filled from exactly one tier. Under `none` and `local` the crash path
+// is the engine's SetAlive; under gms/adaptive the reboot builds a fresh
+// agent that rejoins through the master.
+TEST_P(PolicyMatrixTest, DonorCrashAndRestartMidRunCompletes) {
+  const MatrixCase& c = GetParam();
+  auto owned = StartOverflowCluster(c.policy);
+  Cluster& cluster = *owned;
+  cluster.sim().RunFor(Milliseconds(200));
+  ASSERT_FALSE(cluster.AllWorkloadsFinished()) << "crash would miss the run";
+  cluster.CrashNode(NodeId{1});
+  cluster.sim().RunFor(Milliseconds(200));
+  cluster.RestartNode(NodeId{1});
+  ASSERT_TRUE(cluster.RunUntilWorkloadsDone(Seconds(120)));
+  EXPECT_TRUE(cluster.RunUntilQuiescent(Seconds(10)));
+
+  EXPECT_EQ(cluster.totals().accesses, kAccesses);
+  for (uint32_t n = 0; n < cluster.num_nodes(); n++) {
+    const MemoryServiceStats& s = cluster.service(NodeId{n}).stats();
+    EXPECT_EQ(s.fills_zero + s.fills_far + s.fills_disk + s.fills_nfs,
+              s.getpage_misses)
+        << PolicyName(c.policy) << " node " << n;
   }
 }
 
