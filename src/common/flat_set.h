@@ -1,7 +1,7 @@
 // Open-addressing hash set of nonzero uint64 keys.
 //
 // Replaces std::unordered_set on hot paths that insert and erase small
-// integer keys at high rate (e.g. cancelled timer ids: every getpage arms a
+// integer keys at high rate (e.g. armed timer ids: every getpage arms a
 // timeout and cancels it on reply). std::unordered_set allocates a node per
 // insert; FlatSet64 stores keys in one flat power-of-two table with linear
 // probing and backward-shift deletion, so after warm-up the steady-state

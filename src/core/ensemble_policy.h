@@ -3,7 +3,7 @@
 // several candidate replacement rules as zero-cost simulations and let the
 // observed reference stream decide, online, which one to trust.
 //
-// Three ghost caches (src/core/ghost_cache.h), each sized like the node's
+// Three ghost caches (src/mem/ghost_cache.h), each sized like the node's
 // frame table, replay the node's fault stream under LRU, LFU, and MRU
 // replacement. Every fault scores each expert: resident in the ghost = the
 // expert would have kept the page = loss 0; absent = loss 1. Weights follow
@@ -47,7 +47,7 @@
 
 #include "src/common/rng.h"
 #include "src/core/cache_engine.h"
-#include "src/core/ghost_cache.h"
+#include "src/mem/ghost_cache.h"
 
 namespace gms {
 

@@ -220,7 +220,6 @@ EpochPlan ComputeEpochPlan(const EpochConfig& config, uint64_t epoch,
 EpochTree EpochTree::Build(const std::vector<NodeId>& live, NodeId root,
                            uint32_t fanout) {
   EpochTree tree;
-  tree.fanout = fanout > 0 ? fanout : 1;
   tree.order.reserve(live.size() + 1);
   tree.order.push_back(root);
   for (NodeId node : live) {
@@ -233,6 +232,9 @@ EpochTree EpochTree::Build(const std::vector<NodeId>& live, NodeId root,
   // every test derives the identical tree from (live set, root, fanout).
   std::sort(tree.order.begin() + 1, tree.order.end(),
             [](NodeId a, NodeId b) { return a.value < b.value; });
+  // Fanout 0 is the flat round: a one-level star under the root.
+  const size_t star = std::max<size_t>(tree.order.size() - 1, 1);
+  tree.fanout = fanout > 0 ? fanout : static_cast<uint32_t>(star);
   return tree;
 }
 

@@ -51,8 +51,9 @@ struct EpochConfig {
   // truncating their stragglers.
   SimTime summary_timeout = Milliseconds(500);
   // Hierarchical epoch aggregation: branching factor of the summary
-  // reduction tree. 0 selects the flat protocol (every node replies straight
-  // to the initiator), which is byte-identical to the pre-tree behavior.
+  // reduction tree. 0 = one-level star, leaves reply with plain summaries:
+  // the paper's flat round, where every node replies straight to the
+  // initiator. The initiator runs the same round either way.
   uint32_t fanout = 0;
 };
 
@@ -116,9 +117,11 @@ EpochPlan ComputeEpochPlanFromPartial(const EpochConfig& config,
 
 // The aggregation tree for one epoch round: the initiator at position 0,
 // every other live node in ascending id order, connected as an implicit
-// f-ary heap (children of position i are positions i*f+1 .. i*f+f). Every
-// node derives the same tree from its replicated membership view, so the
-// tree needs no wire representation beyond (initiator, fanout).
+// f-ary heap (children of position i are positions i*f+1 .. i*f+f).
+// Fanout 0 builds the flat round's one-level star: every other node is a
+// child of the root. Every node derives the same tree from its replicated
+// membership view, so the tree needs no wire representation beyond
+// (initiator, fanout).
 struct EpochTree {
   static constexpr size_t kNone = static_cast<size_t>(-1);
 

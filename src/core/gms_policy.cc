@@ -508,7 +508,6 @@ void GmsPolicy::StartEpochAsInitiator() {
     collecting_epoch_ = highest_epoch_seen_ + 1;
   }
   summaries_rerequested_ = false;
-  summaries_.clear();
   TraceEventRaw(tracer_, sim_->now(), self_, TraceEventKind::kEpochStart, 0, 0,
                 collecting_epoch_);
   // Epoch traces use an id derived from the epoch number (the params
@@ -517,66 +516,22 @@ void GmsPolicy::StartEpochAsInitiator() {
   epoch_span_ = SpanBegin(tracer_, sim_->now(), self_,
                           SpanRef{EpochTraceId(collecting_epoch_), 0});
 
-  if (config_.epoch.fanout > 0) {
-    StartTreeCollection();
-    return;
-  }
-
-  const size_t live = pod().table().live.size();
-  const SimTime request_cost =
-      config_.costs.epoch_request_per_node * static_cast<SimTime>(live);
-  cpu_->SubmitKernel(request_cost, CpuCategory::kEpoch, [this] {
-    if (!alive() || !collecting_) {
-      return;
-    }
-    for (NodeId node : pod().table().live) {
-      if (node != self_) {
-        Send(node, kMsgEpochSummaryReq, config_.costs.small_message_bytes(),
-             EpochSummaryReq{collecting_epoch_, self_});
-      }
-    }
-    // Our own summary, charged at the same scan rates as everyone else's.
-    const SimTime scan =
-        config_.costs.epoch_scan_per_local_page * frames_->local_count() +
-        config_.costs.epoch_scan_per_global_page * frames_->global_count() +
-        config_.costs.epoch_summary_marshal;
-    cpu_->SubmitKernel(scan, CpuCategory::kEpoch, [this] {
-      if (!alive() || !collecting_) {
-        return;
-      }
-      EpochSummary own;
-      BuildOwnSummary(collecting_epoch_, &own);
-      own.evictions = evictions_since_summary_;
-      evictions_since_summary_ = 0;
-      summaries_.push_back(std::move(own));
-      if (summaries_.size() >= pod().table().live.size()) {
-        FinishSummaryCollection();
-        return;
-      }
-      collect_timer_ = sim_->ScheduleTimer(config_.epoch.summary_timeout,
-                                           [this] { FinishSummaryCollection(); });
-    });
-  });
-}
-
-// Root half of the hierarchical protocol: request summaries from the tree
-// children only (they relay downward), accumulate their merged partials in
-// root_acc_, and wait one summary_timeout per tree level so the deepest
-// leaves' stragglers are not silently truncated.
-void GmsPolicy::StartTreeCollection() {
-  // Taking over as root supersedes any aggregation duty we held in an
-  // earlier round.
+  // One round for every fanout: request summaries from our children in the
+  // epoch tree (every other live node when fanout is 0; tree children relay
+  // downward), fold what comes back into root_acc_, and wait one
+  // summary_timeout per tree level so the deepest leaves' stragglers are not
+  // silently truncated. Taking over as root supersedes any aggregation duty
+  // we held in an earlier tree round.
   CancelTreeAggregation();
   root_acc_ = EpochPartial{};
   root_acc_.epoch = collecting_epoch_;
   root_acc_.from = self_;
-  const EpochTree tree = EpochTree::Build(pod().table().live, self_,
-                                          config_.epoch.fanout);
+  const EpochTree tree =
+      EpochTree::Build(pod().table().live, self_, config_.epoch.fanout);
   const std::vector<NodeId> children = tree.Children(self_);
   const uint32_t height = tree.SubtreeHeight(self_);
   const SimTime request_cost =
-      config_.costs.epoch_request_per_node *
-      static_cast<SimTime>(children.empty() ? 1 : children.size());
+      config_.costs.epoch_request_per_node * RootFanoutUnits(children.size());
   cpu_->SubmitKernel(request_cost, CpuCategory::kEpoch,
                      [this, children, height] {
     if (!alive() || !collecting_) {
@@ -609,6 +564,15 @@ void GmsPolicy::StartTreeCollection() {
                               [this] { FinishSummaryCollection(); });
     });
   });
+}
+
+// The flat round (fanout 0) charges the initiator once per live node, itself
+// included, as the paper's initiator pays; a tree root pays once per child.
+SimTime GmsPolicy::RootFanoutUnits(size_t children) {
+  const size_t units = config_.epoch.fanout == 0
+                           ? pod().table().live.size()
+                           : std::max<size_t>(children, 1);
+  return static_cast<SimTime>(units);
 }
 
 void GmsPolicy::BuildOwnSummary(uint64_t epoch, EpochSummary* out) const {
@@ -660,22 +624,11 @@ void GmsPolicy::HandleEpochSummary(const EpochSummary& msg) {
     return;
   }
   stats().epoch_root_summary_msgs++;
-  if (config_.epoch.fanout > 0) {
-    // Direct reply to the tree root's re-request sweep (or a flat summary
-    // racing a tree partial covering the same node — MergeSummary dedups).
-    if (root_acc_.MergeSummary(msg) &&
-        root_acc_.nodes.size() >= pod().table().live.size()) {
-      FinishSummaryCollection();
-    }
-    return;
-  }
-  for (const EpochSummary& s : summaries_) {
-    if (s.node == msg.node) {
-      return;  // duplicate delivery (or a reply to a re-request)
-    }
-  }
-  summaries_.push_back(msg);
-  if (summaries_.size() >= pod().table().live.size()) {
+  // A leaf of the flat round, or a reply to the re-request sweep. A
+  // duplicate delivery, or a summary racing a tree partial covering the same
+  // node, folds nothing: MergeSummary dedups.
+  if (root_acc_.MergeSummary(msg) &&
+      root_acc_.nodes.size() >= pod().table().live.size()) {
     FinishSummaryCollection();
   }
 }
@@ -812,8 +765,7 @@ void GmsPolicy::CancelTreeAggregation() {
 
 void GmsPolicy::HandleEpochPartial(const EpochPartial& msg) {
   // Root: fold a child subtree's contribution into this round.
-  if (collecting_ && config_.epoch.fanout > 0 &&
-      msg.epoch == collecting_epoch_) {
+  if (collecting_ && msg.epoch == collecting_epoch_) {
     stats().epoch_root_summary_msgs++;
     if (!root_acc_.MergePartial(msg)) {
       return;  // duplicate (or fully overlapped by the re-request sweep)
@@ -852,33 +804,17 @@ void GmsPolicy::FinishSummaryCollection() {
   if (!collecting_) {
     return;
   }
-  const bool tree = config_.epoch.fanout > 0;
-  const size_t have_count = tree ? root_acc_.nodes.size() : summaries_.size();
   if (config_.retry.enabled && !summaries_rerequested_ &&
-      have_count < pod().table().live.size()) {
+      root_acc_.nodes.size() < pod().table().live.size()) {
     // Timed out with summaries missing: ask the silent nodes once more
-    // before computing a plan from a partial view. In tree mode the sweep
-    // goes out flat (fanout 0 — reply straight to us): a crashed interior
+    // before computing a plan from a partial view. The sweep always goes out
+    // flat (fanout 0 — reply straight to us): in a tree, a crashed interior
     // aggregator takes its whole subtree's partial down with it, and the
     // orphaned descendants answer this direct request instead.
     summaries_rerequested_ = true;
     stats().control_retries++;
     for (NodeId node : pod().table().live) {
-      if (node == self_) {
-        continue;
-      }
-      bool have = false;
-      if (tree) {
-        have = root_acc_.Contains(node);
-      } else {
-        for (const EpochSummary& s : summaries_) {
-          if (s.node == node) {
-            have = true;
-            break;
-          }
-        }
-      }
-      if (!have) {
+      if (node != self_ && !root_acc_.Contains(node)) {
         Send(node, kMsgEpochSummaryReq, config_.costs.small_message_bytes(),
              EpochSummaryReq{collecting_epoch_, self_});
       }
@@ -894,13 +830,9 @@ void GmsPolicy::FinishSummaryCollection() {
 
   const SimTime last_duration =
       epoch_started_at_ > 0 ? sim_->now() - epoch_started_at_ : 0;
-  EpochPlan plan =
-      tree ? ComputeEpochPlanFromPartial(config_.epoch, collecting_epoch_,
-                                         net_->num_nodes(), root_acc_,
-                                         last_duration, self_)
-           : ComputeEpochPlan(config_.epoch, collecting_epoch_,
-                              net_->num_nodes(), summaries_, last_duration,
-                              self_);
+  EpochPlan plan = ComputeEpochPlanFromPartial(
+      config_.epoch, collecting_epoch_, net_->num_nodes(), root_acc_,
+      last_duration, self_);
   // Nodes outside the membership never receive weight.
   for (uint32_t i = 0; i < plan.weights.size(); i++) {
     if (!pod().IsLive(NodeId{i})) {
@@ -914,60 +846,37 @@ void GmsPolicy::FinishSummaryCollection() {
   params.duration = plan.duration;
   params.budget = plan.budget;
   params.next_initiator = plan.next_initiator;
+  params.tree_root = self_;
   params.weights = std::move(plan.weights);
 
-  const size_t live = pod().table().live.size();
-  if (tree) {
-    // Distribute down the same tree the summaries came up: the root pays
-    // O(fanout) sends and marshal cost; relays fan the rest out.
-    params.tree_root = self_;
-    const std::vector<NodeId> children =
-        EpochTree::Build(pod().table().live, self_, config_.epoch.fanout)
-            .Children(self_);
-    const SimTime cost =
-        config_.costs.epoch_weights_compute_per_node *
-            static_cast<SimTime>(live) +
-        config_.costs.epoch_params_marshal_per_node *
-            static_cast<SimTime>(children.empty() ? 1 : children.size());
-    cpu_->SubmitKernel(cost, CpuCategory::kEpoch,
-                       [this, params = std::move(params), children] {
-      if (!alive()) {
-        return;
-      }
-      SpanStep(tracer_, sim_->now(), self_, epoch_span_, SpanComp::kService);
-      for (NodeId node : children) {
-        Send(node, kMsgEpochParams,
-             EpochParamsBytes(config_.costs.header_size, params.weights.size()),
-             params);
-      }
-      AdoptEpochParams(params);
-    });
-    return;
-  }
+  // Distribute down the same tree the summaries came up: a tree root pays
+  // O(fanout) sends and marshal cost, and relays fan the rest out.
+  const std::vector<NodeId> children =
+      EpochTree::Build(pod().table().live, self_, config_.epoch.fanout)
+          .Children(self_);
   const SimTime cost =
-      (config_.costs.epoch_weights_compute_per_node +
-       config_.costs.epoch_params_marshal_per_node) *
-      static_cast<SimTime>(live);
-  cpu_->SubmitKernel(cost, CpuCategory::kEpoch, [this, params = std::move(params)] {
+      config_.costs.epoch_weights_compute_per_node *
+          static_cast<SimTime>(pod().table().live.size()) +
+      config_.costs.epoch_params_marshal_per_node *
+          RootFanoutUnits(children.size());
+  cpu_->SubmitKernel(cost, CpuCategory::kEpoch,
+                     [this, params = std::move(params), children] {
     if (!alive()) {
       return;
     }
     // Collection + plan computation, attributed to the initiator's span.
     SpanStep(tracer_, sim_->now(), self_, epoch_span_, SpanComp::kService);
-    for (NodeId node : pod().table().live) {
-      if (node != self_) {
-        Send(node, kMsgEpochParams,
-             EpochParamsBytes(config_.costs.header_size, params.weights.size()),
-             params);
-      }
+    for (NodeId node : children) {
+      Send(node, kMsgEpochParams,
+           EpochParamsBytes(config_.costs.header_size, params.weights.size()),
+           params);
     }
     AdoptEpochParams(params);
   });
 }
 
 void GmsPolicy::HandleEpochParams(const EpochParams& msg) {
-  if (config_.epoch.fanout > 0 && msg.tree_root.valid() &&
-      msg.epoch > params_relayed_epoch_) {
+  if (config_.epoch.fanout > 0 && msg.epoch > params_relayed_epoch_) {
     // Relay once down our slice of the distribution tree before adopting.
     // Duplicated deliveries are absorbed here (relay-once) and by the
     // stale-epoch rejection in AdoptEpochParams.

@@ -23,7 +23,7 @@
 #include "src/common/rng.h"
 #include "src/core/cache_engine.h"
 #include "src/core/epoch.h"
-#include "src/core/ghost_cache.h"
+#include "src/mem/ghost_cache.h"
 
 namespace gms {
 
@@ -165,8 +165,8 @@ class GmsPolicy final : public ReplacementPolicy {
 
   // Epoch machinery.
   void StartEpochAsInitiator();
-  void StartTreeCollection();
   void FinishSummaryCollection();
+  SimTime RootFanoutUnits(size_t children);
   void BuildOwnSummary(uint64_t epoch, EpochSummary* out) const;
   void AdoptEpochParams(const EpochParams& params);
   void ArmEpochWatchdog();
@@ -202,13 +202,11 @@ class GmsPolicy final : public ReplacementPolicy {
   bool stale_reported_ = false;
   TimerId epoch_timer_ = 0;
 
-  // Epoch initiator state. In tree mode (config_.epoch.fanout > 0) the root
-  // accumulates into root_acc_ instead of summaries_; everything else —
-  // collecting_, the epoch numbering, the straggler timer — is shared with
-  // the flat protocol.
+  // Epoch initiator state, one round for every fanout: the root folds its
+  // children's summaries (the flat round's star) or partials (a tree) into
+  // root_acc_ and plans from it.
   bool collecting_ = false;
   uint64_t collecting_epoch_ = 0;
-  std::vector<EpochSummary> summaries_;
   EpochPartial root_acc_;
   TimerId collect_timer_ = 0;
   SimTime epoch_started_at_ = 0;

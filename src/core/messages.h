@@ -196,11 +196,12 @@ struct EpochParams {
   SimTime duration = 0;   // T
   uint64_t budget = 0;    // M
   NodeId next_initiator;
-  // Tree distribution: when valid, receivers relay the params to their
-  // children in the tree rooted here (the round's initiator). The branching
-  // factor is not on the wire — it is uniform deployment configuration
-  // (EpochConfig::fanout), like every other epoch constant. Sits in what
-  // was alignment padding, keeping the payload at the 64-byte ceiling.
+  // The round's initiator, root of the distribution tree: with a nonzero
+  // EpochConfig::fanout, receivers relay the params to their children in the
+  // tree rooted here (the flat round's star has no relays). The branching
+  // factor is not on the wire — it is uniform deployment configuration, like
+  // every other epoch constant. Sits in what was alignment padding, keeping
+  // the payload at the 64-byte ceiling.
   NodeId tree_root = kInvalidNode;
   // weights[i] = w_i for cluster node i (dense by NodeId); zero for nodes
   // with no old pages.

@@ -1,15 +1,21 @@
 #include "src/mem/far_memory.h"
 
+#include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <utility>
 
 namespace gms {
 
 FarMemoryTier::FarMemoryTier(Simulator* sim, FarMemoryParams params)
-    : sim_(sim), params_(params) {}
+    : sim_(sim),
+      params_(params),
+      lru_(GhostKind::kLru, static_cast<uint32_t>(params.capacity_pages)) {
+  assert(params.capacity_pages <= UINT32_MAX);
+}
 
 void FarMemoryTier::ReadPage(const Uid& uid, EventFn done, SpanRef span) {
-  assert(index_.contains(uid));
+  assert(lru_.Contains(uid));
   queue_.push_back(Request{uid, false, sim_->now(), std::move(done), span});
   if (!busy_) {
     busy_ = true;
@@ -25,40 +31,23 @@ void FarMemoryTier::WritePage(const Uid& uid, EventFn done, SpanRef span) {
   }
 }
 
-void FarMemoryTier::Evict(const Uid& uid) {
-  auto it = index_.find(uid);
-  if (it == index_.end()) {
-    return;
-  }
-  lru_.erase(it->second);
-  index_.erase(it);
-}
+void FarMemoryTier::Evict(const Uid& uid) { lru_.Erase(uid); }
 
 void FarMemoryTier::Insert(const Uid& uid) {
-  auto it = index_.find(uid);
-  if (it != index_.end()) {
-    // Refresh: move to MRU.
-    lru_.splice(lru_.end(), lru_, it->second);
-    return;
-  }
-  lru_.push_back(uid);
-  index_.emplace(uid, std::prev(lru_.end()));
-  if (index_.size() > params_.capacity_pages) {
-    EvictDownTo(params_.capacity_pages);
-  }
-}
-
-void FarMemoryTier::EvictDownTo(uint64_t pages) {
-  while (index_.size() > pages) {
+  // A hit refreshes the page to MRU. A miss at full capacity displaces the
+  // LRU entry; at capacity 0 the page itself is displaced at once.
+  const uint32_t resident = lru_.size();
+  if (!lru_.Access(uid) && lru_.size() == resident) {
     stats_.evictions++;
-    index_.erase(lru_.front());
-    lru_.pop_front();
   }
 }
 
 void FarMemoryTier::SetCapacity(uint64_t pages) {
-  params_.capacity_pages = pages;
-  EvictDownTo(pages);
+  const uint32_t resident = lru_.size();
+  lru_.set_capacity(static_cast<uint32_t>(
+      std::min<uint64_t>(pages, lru_.max_capacity())));
+  params_.capacity_pages = lru_.capacity();
+  stats_.evictions += resident - lru_.size();
 }
 
 void FarMemoryTier::StartNext() {

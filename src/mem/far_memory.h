@@ -5,9 +5,10 @@
 // a per-byte streaming cost, so an 8 KB page lands around 2.2 ms with the
 // defaults — slower than a global-memory hit (~1.5 ms), several times faster
 // than even a sequential disk read (~3.6 ms). Contents are a bounded
-// LRU-ordered set of page uids; demotions past capacity evict the oldest
-// entry, and SetCapacity() lets chaos scenarios shrink the tier mid-run (the
-// dynamic-capacity adversary) with deterministic eviction order.
+// LRU-ordered set of page uids, kept in an LRU GhostCache; demotions past
+// capacity evict the oldest entry, and SetCapacity() lets chaos scenarios
+// shrink the tier mid-run (the dynamic-capacity adversary) with
+// deterministic eviction order.
 //
 // Like the disk, the tier stamps its queue wait and service time separately
 // (kFarWait / kFarService) on the fault span it serves, so the critical-path
@@ -17,14 +18,13 @@
 
 #include <cstdint>
 #include <deque>
-#include <list>
-#include <unordered_map>
 
 #include "src/common/node_id.h"
 #include "src/common/stats.h"
 #include "src/common/time.h"
 #include "src/common/uid.h"
 #include "src/mem/backing_tier.h"
+#include "src/mem/ghost_cache.h"
 #include "src/obs/trace.h"
 #include "src/sim/simulator.h"
 
@@ -50,7 +50,7 @@ class FarMemoryTier final : public BackingTier {
 
   // --- BackingTier ---
   TierKind kind() const override { return TierKind::kFarMemory; }
-  bool Holds(const Uid& uid) const override { return index_.contains(uid); }
+  bool Holds(const Uid& uid) const override { return lru_.Contains(uid); }
   void ReadPage(const Uid& uid, EventFn done, SpanRef span = {}) override;
   void WritePage(const Uid& uid, EventFn done, SpanRef span = {}) override;
   void Evict(const Uid& uid) override;
@@ -59,13 +59,14 @@ class FarMemoryTier final : public BackingTier {
     return params_.fixed_latency + params_.per_byte * bytes;
   }
 
-  // Shrinks (or grows) the tier mid-run, evicting LRU entries down to the
-  // new bound — the dynamic-capacity adversary of the tier chaos case. Call
-  // it from the owning node's simulation context so the evictions are
-  // ordered with the node's own events.
+  // Shrinks (or grows, up to the construction-time capacity) the tier
+  // mid-run, evicting LRU entries down to the new bound — the
+  // dynamic-capacity adversary of the tier chaos case. Call it from the
+  // owning node's simulation context so the evictions are ordered with the
+  // node's own events.
   void SetCapacity(uint64_t pages);
 
-  uint64_t resident_pages() const { return index_.size(); }
+  uint64_t resident_pages() const { return lru_.size(); }
 
   struct Stats {
     uint64_t reads = 0;
@@ -93,7 +94,6 @@ class FarMemoryTier final : public BackingTier {
 
   void StartNext();
   void Insert(const Uid& uid);
-  void EvictDownTo(uint64_t pages);
 
   Simulator* sim_;
   FarMemoryParams params_;
@@ -102,9 +102,7 @@ class FarMemoryTier final : public BackingTier {
   bool busy_ = false;
   std::deque<Request> queue_;
 
-  // LRU order: front = oldest. The index maps uid -> list position.
-  std::list<Uid> lru_;
-  std::unordered_map<Uid, std::list<Uid>::iterator> index_;
+  GhostCache lru_;  // resident pages in LRU order
 
   Stats stats_;
 };

@@ -17,13 +17,14 @@ void Simulator::After(SimTime delay, EventFn fn) {
 TimerId Simulator::ScheduleTimer(SimTime delay, EventFn fn) {
   assert(delay >= 0);
   const TimerId id = ++next_timer_;
+  armed_.Insert(id);
   queue_.Push(now_ + delay, MakeStamp(), id, cur_ctx_, std::move(fn));
   return id;
 }
 
 void Simulator::CancelTimer(TimerId id) {
   if (id != 0) {
-    cancelled_.Insert(id);
+    armed_.Erase(id);
   }
 }
 
@@ -58,8 +59,8 @@ uint64_t Simulator::RunLoop(bool bounded, SimTime limit) {
     }
     const CalendarQueue::Popped e = queue_.PopMin(fn);
     now_ = e.time;
-    if (e.timer != 0 && cancelled_.Erase(e.timer)) {
-      continue;
+    if (e.timer != 0 && !armed_.Erase(e.timer)) {
+      continue;  // cancelled before it fired
     }
     cur_ctx_ = e.ctx;
     fn();

@@ -15,13 +15,14 @@
 //
 // The hot path is allocation-free: events are InlineFn closures (inline
 // small-buffer storage, src/sim/inline_fn.h) stored in a calendar queue
-// (src/sim/event_queue.h), and timer cancellation uses a flat
-// open-addressing set. After warm-up, scheduling + dispatching an event
-// touches no allocator.
+// (src/sim/event_queue.h), and timers are tracked in a flat open-addressing
+// set of armed ids. After warm-up, scheduling + dispatching an event touches
+// no allocator.
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 
 #include "src/common/flat_set.h"
@@ -38,7 +39,7 @@ using TimerId = uint64_t;
 
 class Simulator {
  public:
-  Simulator() = default;
+  Simulator() { armed_.Reserve(kArmedReserve); }
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -57,8 +58,11 @@ class Simulator {
   TimerId ScheduleTimer(SimTime delay, EventFn fn);
 
   // Cancels a pending timer. Cancelling an already-fired or already-cancelled
-  // timer is a harmless no-op.
+  // timer is a harmless no-op: it leaves no state behind.
   void CancelTimer(TimerId id);
+
+  // Timers scheduled and neither fired nor cancelled yet.
+  size_t pending_timers() const { return armed_.size(); }
 
   // --- Contexts -----------------------------------------------------------
 
@@ -106,6 +110,11 @@ class Simulator {
  private:
   // Context ids occupy the stamp bits above the 40-bit counter.
   static constexpr uint32_t kMaxContexts = 1u << 24;
+  // Armed-timer slots reserved at construction (64 ids, 1 KB), so a run's
+  // first timers never rehash the set. Measured: with a lazily grown set,
+  // glibc placed later allocations differently between perfbench passes and
+  // paging_read's peak RSS went from 21 to 30 MB.
+  static constexpr size_t kArmedReserve = 64;
 
   // Issues the intrinsic order key for a new event created by the executing
   // context: within one context stamps increase in creation order; across
@@ -118,7 +127,9 @@ class Simulator {
   uint64_t RunLoop(bool bounded, SimTime limit);
 
   CalendarQueue queue_;
-  FlatSet64 cancelled_;
+  // Ids of the timers still pending: scheduling inserts, cancelling and
+  // firing erase, so the set is bounded by the pending timers.
+  FlatSet64 armed_;
   SimTime now_ = 0;
   uint64_t next_stamp_ = 0;  // low 40 bits of the next stamp
   uint64_t next_timer_ = 0;  // last timer id issued

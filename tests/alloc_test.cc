@@ -25,7 +25,7 @@
 #include "src/core/cache_engine.h"
 #include "src/core/directory.h"
 #include "src/core/ensemble_policy.h"
-#include "src/core/ghost_cache.h"
+#include "src/mem/ghost_cache.h"
 #include "src/core/hybrid_lfu_policy.h"
 #include "src/core/messages.h"
 #include "src/mem/frame_table.h"

@@ -272,7 +272,7 @@ TEST(EpochTreeTest, CompressExpandRoundTripIsExact) {
 TEST(EpochTreeTest, TreeShapeIsCanonicalAndConsistent) {
   Rng rng(5);
   for (uint32_t n : {1u, 2u, 17u, 100u}) {
-    for (uint32_t fanout : {2u, 4u, 16u, n}) {
+    for (uint32_t fanout : {0u, 2u, 4u, 16u, n}) {
       const NodeId root{n / 2};
       std::vector<NodeId> live = LiveNodes(n);
       Shuffle(rng, live);  // membership join order must not matter
@@ -305,8 +305,8 @@ TEST(EpochTreeTest, TreeShapeIsCanonicalAndConsistent) {
       }
       EXPECT_EQ(covered, n);  // parent/child edges span the whole tree
 
-      if (fanout >= n && n > 1) {
-        // fanout >= n degenerates to a star: one hop, like flat but relayed.
+      if ((fanout == 0 || fanout >= n) && n > 1) {
+        // Fanout 0 is the flat round's star; fanout >= n degenerates to one.
         EXPECT_EQ(tree.Children(root).size(), n - 1);
         EXPECT_EQ(tree.SubtreeHeight(root), 1u);
       }

@@ -15,7 +15,7 @@
 #include "src/common/rng.h"
 #include "src/common/uid.h"
 #include "src/core/directory.h"
-#include "src/core/ghost_cache.h"
+#include "src/mem/ghost_cache.h"
 
 namespace gms {
 namespace {
@@ -51,6 +51,16 @@ class ReferenceGhost {
     while (entries_.size() > capacity_) {
       Evict();
     }
+  }
+
+  bool Erase(const Uid& uid) {
+    for (size_t i = 0; i < entries_.size(); i++) {
+      if (entries_[i].uid == uid) {
+        entries_.erase(entries_.begin() + static_cast<ptrdiff_t>(i));
+        return true;
+      }
+    }
+    return false;
   }
 
   uint8_t Frequency(const Uid& uid) const {
@@ -241,6 +251,42 @@ TEST(GhostCacheTest, CapacityZeroNeverAdmits) {
   EXPECT_FALSE(g.Access(a));  // still a miss: nothing was admitted
   EXPECT_EQ(g.size(), 0u);
   EXPECT_EQ(g.misses(), 2u);
+}
+
+// Erase (the far tier's exclusive promotion) drops exactly one page, counts
+// neither a hit nor a miss, and leaves every kind's replacement order intact.
+TEST(GhostCacheTest, EraseMatchesReferenceForEveryKind) {
+  {
+    GhostCache g(GhostKind::kLru, 2);
+    const Uid a = TestUid(1), b = TestUid(2), c = TestUid(3);
+    g.Access(a);
+    g.Access(b);
+    EXPECT_TRUE(g.Erase(a));
+    EXPECT_FALSE(g.Erase(a));  // already gone
+    EXPECT_EQ(g.size(), 1u);
+    EXPECT_EQ(g.hits() + g.misses(), 2u);
+    EXPECT_FALSE(g.Access(c));  // fills the freed slot: nothing evicted
+    EXPECT_TRUE(g.Contains(b));
+    EXPECT_TRUE(g.Contains(c));
+  }
+  for (GhostKind kind : {GhostKind::kLru, GhostKind::kLfu, GhostKind::kMru}) {
+    Rng rng(4242 + static_cast<uint64_t>(kind));
+    GhostCache ghost(kind, 24);
+    ReferenceGhost ref(kind, 24);
+    for (int i = 0; i < 4000; i++) {
+      const Uid uid = TestUid(rng.NextBelow(48));
+      if (rng.NextBelow(100) < 20) {
+        ASSERT_EQ(ghost.Erase(uid), ref.Erase(uid))
+            << GhostKindName(kind) << " erase diverged at step " << i;
+      } else {
+        ASSERT_EQ(ghost.Access(uid), ref.Access(uid))
+            << GhostKindName(kind) << " diverged at step " << i;
+      }
+      ASSERT_EQ(ghost.size(), ref.size()) << "size diverged at " << i;
+      const Uid probe = TestUid(rng.NextBelow(48));
+      ASSERT_EQ(ghost.Frequency(probe), ref.Frequency(probe));
+    }
+  }
 }
 
 TEST(GhostCacheTest, MruSurvivesCyclicScanLargerThanCache) {

@@ -87,6 +87,38 @@ TEST(SimulatorTest, CancelAfterFireIsHarmless) {
   sim.CancelTimer(0);   // zero id is a no-op
 }
 
+// Timer bookkeeping is bounded by the pending timers: a late cancel (the
+// timer already fired, as when a timer's own callback cancels it) and a
+// double cancel leave nothing behind, and a cancelled timer is forgotten
+// once cancelled.
+TEST(SimulatorTest, TimerStateIsBoundedByPendingTimers) {
+  Simulator sim;
+  TimerId self_cancelling = 0;
+  self_cancelling = sim.ScheduleTimer(Microseconds(1), [&] {
+    sim.CancelTimer(self_cancelling);
+  });
+  const TimerId cancelled = sim.ScheduleTimer(Microseconds(2), [] {});
+  const TimerId fires = sim.ScheduleTimer(Microseconds(3), [] {});
+  EXPECT_EQ(sim.pending_timers(), 3u);
+  sim.CancelTimer(cancelled);
+  sim.CancelTimer(cancelled);
+  EXPECT_EQ(sim.pending_timers(), 2u);
+  sim.Run();
+  EXPECT_EQ(sim.pending_timers(), 0u);
+  for (int i = 0; i < 100; i++) {
+    sim.CancelTimer(fires);
+    sim.CancelTimer(self_cancelling);
+  }
+  EXPECT_EQ(sim.pending_timers(), 0u);
+  // A later timer still fires after all the late cancels.
+  bool fired = false;
+  sim.ScheduleTimer(Microseconds(1), [&] { fired = true; });
+  EXPECT_EQ(sim.pending_timers(), 1u);
+  sim.Run();
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(sim.pending_timers(), 0u);
+}
+
 TEST(SimulatorTest, StopHaltsRun) {
   Simulator sim;
   int count = 0;

@@ -119,6 +119,18 @@ TEST(FarMemoryTierTest, EvictRemovesExactlyTheRequestedPage) {
   EXPECT_EQ(tier.resident_pages(), 1u);
 }
 
+TEST(FarMemoryTierTest, ZeroCapacityDisplacesEveryDemotionAtOnce) {
+  Simulator sim;
+  FarMemoryTier tier(&sim, TestParams(0));
+  tier.WritePage(MakeAnonUid(NodeId{0}, 1, 0), {});
+  tier.WritePage(MakeAnonUid(NodeId{0}, 1, 0), {});
+  sim.RunFor(Milliseconds(1));
+  EXPECT_FALSE(tier.Holds(MakeAnonUid(NodeId{0}, 1, 0)));
+  EXPECT_EQ(tier.resident_pages(), 0u);
+  EXPECT_EQ(tier.stats().writes, 2u);
+  EXPECT_EQ(tier.stats().evictions, 2u);
+}
+
 // --- cluster-level ---
 
 // The tier_sweep overflow universe, shrunk for a test: a 4-node GMS cluster
