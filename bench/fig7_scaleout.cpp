@@ -4,6 +4,8 @@
 // other three run OO7, Compile&Link, and Render respectively. The expected
 // result is that each workload's speedup stays nearly constant as groups are
 // added — GMS scales without cross-group interference.
+#include <sys/resource.h>
+
 #include <cstdio>
 #include <map>
 #include <vector>
@@ -81,7 +83,8 @@ int main(int argc, char** argv) {
   // epoch; with a tree it absorbs ~fanout partials regardless of N
   // (EXPERIMENTS.md walks through the 10000-node case). The
   // epoch-scale-smoke CI job gates the JSON emitted by --emit_bench_json
-  // through tools/check_bench_regression.py --max-epoch-root-cost.
+  // through tools/check_bench_regression.py --max-epoch-root-cost and, at
+  // 10000 nodes, --max-peak-rss-mb.
   const auto scaleout_nodes =
       static_cast<uint32_t>(FlagValue(argc, argv, "scaleout_nodes", 0));
   if (scaleout_nodes > 0) {
@@ -104,6 +107,10 @@ int main(int argc, char** argv) {
     }
     const std::string json_out = FlagString(argc, argv, "emit_bench_json");
     if (!json_out.empty()) {
+      rusage usage{};
+      getrusage(RUSAGE_SELF, &usage);
+      const double peak_rss_mb =
+          static_cast<double>(usage.ru_maxrss) / 1024.0;  // ru_maxrss is KiB
       std::FILE* f = std::fopen(json_out.c_str(), "w");
       if (f == nullptr) {
         std::fprintf(stderr, "cannot open %s\n", json_out.c_str());
@@ -114,10 +121,11 @@ int main(int argc, char** argv) {
           "{\n  \"schema\": 2,\n  \"kind\": \"epoch_scaleout\",\n"
           "  \"nodes\": %u,\n  \"fanout\": %u,\n  \"epochs\": %llu,\n"
           "  \"root_summary_msgs_per_epoch\": %.3f,\n"
-          "  \"root_epoch_cpu_us_per_epoch\": %.3f,\n  \"sim_s\": %.3f\n}\n",
+          "  \"root_epoch_cpu_us_per_epoch\": %.3f,\n  \"sim_s\": %.3f,\n"
+          "  \"peak_rss_mb\": %.1f\n}\n",
           r.nodes, r.fanout, static_cast<unsigned long long>(r.epochs),
           r.root_summary_msgs_per_epoch, r.root_epoch_cpu_us_per_epoch,
-          r.sim_s);
+          r.sim_s, peak_rss_mb);
       std::fclose(f);
       std::printf("bench json -> %s\n", json_out.c_str());
     }

@@ -267,7 +267,8 @@ void Cluster::Start() {
   for (uint32_t i = 0; i < config_.num_nodes; i++) {
     live.push_back(NodeId{i});
   }
-  const PodTable pod = Pod::Build(1, live);
+  // One read-only table shared by every node.
+  const auto pod = std::make_shared<const PodTable>(Pod::Build(1, live));
   for (uint32_t i = 0; i < config_.num_nodes; i++) {
     NodeRuntime& rt = *nodes_[i];
     // Start() arms per-node timers (epoch initiation, retries): they must be
@@ -390,8 +391,8 @@ void Cluster::RestartNode(NodeId node) {
     // Fresh agent: a rebooted kernel has no directory or epoch state.
     const uint64_t seed = MixSeed(config_.seed, 0x20000 + node.value);
     InstallService(rt, MakeGmsAgent(node, rt, seed));
-    std::vector<NodeId> self_only{node};
-    rt.gms->Start(Pod::Build(0, self_only), config_.master, kInvalidNode);
+    rt.gms->Start(std::make_shared<const PodTable>(Pod::Build(0, {node})),
+                  config_.master, kInvalidNode);
     rt.gms->Join(config_.master);
   } else {
     // Memory was lost (frames reset) but the engine and its directory

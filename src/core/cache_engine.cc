@@ -22,10 +22,10 @@ CacheEngine::CacheEngine(Simulator* sim, Network* net, Cpu* cpu,
   gcd_.Reserve(frames->num_frames() * 2);
 }
 
-void CacheEngine::Start(const PodTable& pod) {
+void CacheEngine::Start(std::shared_ptr<const PodTable> pod) {
   assert(!alive_);
   alive_ = true;
-  pod_.Adopt(pod);
+  pod_.Adopt(std::move(pod));
   policy_->OnStart();
 }
 

@@ -90,8 +90,8 @@ class CacheEngine {
 
   // Installs the initial membership and starts protocol processing (the
   // policy's OnStart hook arms its timers). Must be called exactly once per
-  // boot.
-  void Start(const PodTable& pod);
+  // boot. The table is shared read-only (see Pod).
+  void Start(std::shared_ptr<const PodTable> pod);
 
   // --- node/OS interface ---
   // Tries to fetch `uid` from cluster memory. The callback always fires

@@ -5,6 +5,12 @@
 
 namespace gms {
 
+Pod::Pod() {
+  static const std::shared_ptr<const PodTable> kEmpty =
+      std::make_shared<const PodTable>();
+  table_ = kEmpty;
+}
+
 PodTable Pod::Build(uint64_t version, std::vector<NodeId> live) {
   assert(!live.empty());
   std::sort(live.begin(), live.end());
@@ -37,16 +43,15 @@ PodTable Pod::Build(uint64_t version, std::vector<NodeId> live) {
 }
 
 bool Pod::IsLive(NodeId node) const {
-  return std::find(table_.live.begin(), table_.live.end(), node) !=
-         table_.live.end();
+  return std::binary_search(table_->live.begin(), table_->live.end(), node);
 }
 
 NodeId Pod::GcdNodeFor(const Uid& uid) const {
   if (!IsShared(uid)) {
     return NodeOfIp(uid.ip());
   }
-  assert(!table_.buckets.empty());
-  return table_.buckets[HashUid(uid) % table_.buckets.size()];
+  assert(!table_->buckets.empty());
+  return table_->buckets[HashUid(uid) % table_->buckets.size()];
 }
 
 void GcdTable::Apply(const GcdUpdate& update) {

@@ -14,6 +14,7 @@
 #define SRC_CORE_DIRECTORY_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -53,18 +54,31 @@ constexpr uint64_t DiskBlockOf(const Uid& uid) {
   return (uid.inode() << 22) | uid.page_offset();
 }
 
+// A node's view of the POD: a shared, read-only table. The master builds one
+// table per reconfiguration and every node adopts the same copy, so a
+// cluster holds one N-entry live list per membership version, not N of them.
 class Pod {
  public:
   static constexpr uint32_t kNumBuckets = 128;
 
+  Pod();
+
   // Deterministically assigns buckets across the live set. Stable in the
-  // sense that the mapping depends only on (version, live set).
+  // sense that the mapping depends only on (version, live set). The returned
+  // table's `live` list is sorted by id.
   static PodTable Build(uint64_t version, std::vector<NodeId> live);
 
-  void Adopt(PodTable table) { table_ = std::move(table); }
-  const PodTable& table() const { return table_; }
-  uint64_t version() const { return table_.version; }
+  void Adopt(std::shared_ptr<const PodTable> table) {
+    table_ = std::move(table);
+  }
+  void Adopt(PodTable table) {
+    Adopt(std::make_shared<const PodTable>(std::move(table)));
+  }
+  const PodTable& table() const { return *table_; }
+  const std::shared_ptr<const PodTable>& shared_table() const { return table_; }
+  uint64_t version() const { return table_->version; }
 
+  // O(log N): binary search of the sorted live list.
   bool IsLive(NodeId node) const;
 
   // The node holding the GCD entry for this page. `self` is the node asking;
@@ -73,7 +87,7 @@ class Pod {
   NodeId GcdNodeFor(const Uid& uid) const;
 
  private:
-  PodTable table_;
+  std::shared_ptr<const PodTable> table_;
 };
 
 // One node's partition of the global-cache-directory, plus (for private

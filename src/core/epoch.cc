@@ -219,40 +219,46 @@ EpochPlan ComputeEpochPlan(const EpochConfig& config, uint64_t epoch,
 
 EpochTree EpochTree::Build(const std::vector<NodeId>& live, NodeId root,
                            uint32_t fanout) {
+  // Canonical shape regardless of membership join order: the tail is the
+  // live list in id order, so every node — whose POD table is replicated
+  // verbatim — and every test derives the identical tree from (live set,
+  // root, fanout).
+  assert(std::is_sorted(live.begin(), live.end()));
   EpochTree tree;
-  tree.order.reserve(live.size() + 1);
-  tree.order.push_back(root);
-  for (NodeId node : live) {
-    if (node != root) {
-      tree.order.push_back(node);
-    }
-  }
-  // Canonical shape regardless of membership join order: the tail is sorted
-  // by id, so every node — whose live vector is replicated verbatim — and
-  // every test derives the identical tree from (live set, root, fanout).
-  std::sort(tree.order.begin() + 1, tree.order.end(),
-            [](NodeId a, NodeId b) { return a.value < b.value; });
+  tree.live_ = &live;
+  tree.root_ = root;
+  const auto it = std::lower_bound(live.begin(), live.end(), root);
+  const bool root_live = it != live.end() && *it == root;
+  tree.root_rank_ = root_live ? static_cast<size_t>(it - live.begin()) : kNone;
+  tree.size_ = root_live ? live.size() : live.size() + 1;
   // Fanout 0 is the flat round: a one-level star under the root.
-  const size_t star = std::max<size_t>(tree.order.size() - 1, 1);
-  tree.fanout = fanout > 0 ? fanout : static_cast<uint32_t>(star);
+  const size_t star = std::max<size_t>(tree.size_ - 1, 1);
+  tree.fanout_ = fanout > 0 ? fanout : static_cast<uint32_t>(star);
   return tree;
 }
 
+NodeId EpochTree::At(size_t pos) const {
+  assert(pos < size_);
+  if (pos == 0) {
+    return root_;
+  }
+  const size_t rank = pos - 1;
+  return (*live_)[root_rank_ != kNone && rank >= root_rank_ ? rank + 1 : rank];
+}
+
 size_t EpochTree::IndexOf(NodeId node) const {
-  if (order.empty()) {
+  if (size_ == 0) {
     return kNone;
   }
-  if (order[0] == node) {
+  if (node == root_) {
     return 0;
   }
-  const auto begin = order.begin() + 1;
-  const auto it = std::lower_bound(
-      begin, order.end(), node,
-      [](NodeId a, NodeId b) { return a.value < b.value; });
-  if (it != order.end() && *it == node) {
-    return static_cast<size_t>(it - order.begin());
+  const auto it = std::lower_bound(live_->begin(), live_->end(), node);
+  if (it == live_->end() || *it != node) {
+    return kNone;
   }
-  return kNone;
+  const size_t rank = static_cast<size_t>(it - live_->begin());
+  return root_rank_ != kNone && rank > root_rank_ ? rank : rank + 1;
 }
 
 NodeId EpochTree::Parent(NodeId node) const {
@@ -260,7 +266,7 @@ NodeId EpochTree::Parent(NodeId node) const {
   if (i == kNone || i == 0) {
     return kInvalidNode;
   }
-  return order[(i - 1) / fanout];
+  return At((i - 1) / fanout_);
 }
 
 std::vector<NodeId> EpochTree::Children(NodeId node) const {
@@ -269,9 +275,9 @@ std::vector<NodeId> EpochTree::Children(NodeId node) const {
   if (i == kNone) {
     return children;
   }
-  const size_t first = i * fanout + 1;
-  for (size_t c = first; c < order.size() && c < first + fanout; c++) {
-    children.push_back(order[c]);
+  const size_t first = i * fanout_ + 1;
+  for (size_t c = first; c < size_ && c < first + fanout_; c++) {
+    children.push_back(At(c));
   }
   return children;
 }
@@ -287,10 +293,10 @@ size_t EpochTree::SubtreeSize(NodeId node) const {
   size_t total = 0;
   size_t lo = i;
   size_t hi = i;
-  while (lo < order.size()) {
-    total += std::min(hi, order.size() - 1) - lo + 1;
-    lo = lo * fanout + 1;
-    hi = hi * fanout + fanout;
+  while (lo < size_) {
+    total += std::min(hi, size_ - 1) - lo + 1;
+    lo = lo * fanout_ + 1;
+    hi = hi * fanout_ + fanout_;
   }
   return total;
 }
@@ -302,8 +308,8 @@ uint32_t EpochTree::SubtreeHeight(NodeId node) const {
   }
   uint32_t height = 0;
   size_t lo = i;
-  while (lo * fanout + 1 < order.size()) {
-    lo = lo * fanout + 1;
+  while (lo * fanout_ + 1 < size_) {
+    lo = lo * fanout_ + 1;
     height++;
   }
   return height;
@@ -316,7 +322,7 @@ uint32_t EpochTree::Depth(NodeId node) const {
   }
   uint32_t depth = 0;
   while (i > 0) {
-    i = (i - 1) / fanout;
+    i = (i - 1) / fanout_;
     depth++;
   }
   return depth;

@@ -122,23 +122,40 @@ EpochPlan ComputeEpochPlanFromPartial(const EpochConfig& config,
 // child of the root. Every node derives the same tree from its replicated
 // membership view, so the tree needs no wire representation beyond
 // (initiator, fanout).
-struct EpochTree {
+//
+// The tree is an index view over the sorted live list (Pod::Build sorts it):
+// position p > 0 is live rank p-1, shifted past the root's own rank. It
+// copies and sorts nothing, so a non-root node's share of an epoch round is
+// O(log N) to place itself and O(fanout) to list its children. The view
+// borrows `live`, which must outlive it.
+class EpochTree {
+ public:
   static constexpr size_t kNone = static_cast<size_t>(-1);
 
+  // `live` must be sorted by id; `root` need not be in it.
   static EpochTree Build(const std::vector<NodeId>& live, NodeId root,
                          uint32_t fanout);
+  // A temporary would leave the view dangling.
+  static EpochTree Build(std::vector<NodeId>&& live, NodeId root,
+                         uint32_t fanout) = delete;
 
-  size_t size() const { return order.size(); }
-  // O(log n): position 0 is the root and the tail is sorted by id.
+  size_t size() const { return size_; }
+  uint32_t fanout() const { return fanout_; }
+  NodeId At(size_t pos) const;  // position -> node; At(0) is the root
+  // O(log n): one binary search of the live list.
   size_t IndexOf(NodeId node) const;
   NodeId Parent(NodeId node) const;  // kInvalidNode for the root / unknown
-  std::vector<NodeId> Children(NodeId node) const;
+  std::vector<NodeId> Children(NodeId node) const;  // O(fanout)
   size_t SubtreeSize(NodeId node) const;      // 0 when `node` is unknown
   uint32_t SubtreeHeight(NodeId node) const;  // leaf (or unknown) = 0
   uint32_t Depth(NodeId node) const;          // root = 0
 
-  std::vector<NodeId> order;  // position -> node; [0] is the root
-  uint32_t fanout = 1;
+ private:
+  const std::vector<NodeId>* live_ = nullptr;
+  NodeId root_;
+  size_t root_rank_ = kNone;  // the root's index in *live_, kNone if absent
+  size_t size_ = 0;
+  uint32_t fanout_ = 1;
 };
 
 // Straggler window for an aggregator whose subtree has height

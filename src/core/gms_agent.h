@@ -25,9 +25,10 @@ class GmsAgent final : public CacheEngine {
   // designated first initiator kicks off epoch 1; the master (if heartbeats
   // are enabled) starts liveness checks. Must be called exactly once per
   // boot.
-  void Start(const PodTable& pod, NodeId master, NodeId first_initiator) {
+  void Start(std::shared_ptr<const PodTable> pod, NodeId master,
+             NodeId first_initiator) {
     policy_->PrepareStart(master, first_initiator);
-    CacheEngine::Start(pod);
+    CacheEngine::Start(std::move(pod));
   }
 
   // A rebooted or new node announces itself to the master.
@@ -39,7 +40,6 @@ class GmsAgent final : public CacheEngine {
 
   const EpochView& epoch_view() const { return policy_->epoch_view(); }
   NodeId master() const { return policy_->master(); }
-  double remaining_weight() const { return policy_->remaining_weight(); }
   // Adaptive-MinAge introspection (gms_policy.h): factor is pinned to 1.0
   // and effective_min_age() == epoch_view().min_age unless the extension is
   // enabled.

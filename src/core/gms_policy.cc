@@ -359,28 +359,57 @@ void GmsPolicy::ApplyGcdAsOwner(const GcdUpdate& update) {
 }
 
 std::optional<NodeId> GmsPolicy::SampleEvictionTarget() {
-  if (remaining_weight_ <= 0 || sampler_.empty()) {
+  MaterializeWeights();
+  if (remaining_weight_ <= 0) {
+    return std::nullopt;
+  }
+  // Built on first draw: every weight change marks the sampler stale, and
+  // only Sample() draws from the RNG, so the targets drawn are the same as
+  // with a rebuild at every change.
+  if (sampler_stale_) {
+    sampler_ = AliasSampler(weights_);
+    sampler_stale_ = false;
+  }
+  if (sampler_.empty()) {
     return std::nullopt;
   }
   const size_t idx = sampler_.Sample(rng_);
   if (weights_[idx] <= 0) {
     // Sampler is stale relative to consumed weights (rebuilds are deferred
-    // to weight exhaustion); treat as no budget at this node this time.
-    RebuildSampler();
-    if (sampler_.empty()) {
-      return std::nullopt;
-    }
+    // to weight exhaustion); rebuild and draw again.
+    sampler_stale_ = true;
     return SampleEvictionTarget();
   }
   weights_[idx] -= 1.0;
   remaining_weight_ -= 1.0;
   if (weights_[idx] <= 0) {
-    RebuildSampler();
+    sampler_stale_ = true;
   }
   return NodeId{static_cast<uint32_t>(idx)};
 }
 
-void GmsPolicy::RebuildSampler() { sampler_ = AliasSampler(weights_); }
+void GmsPolicy::MaterializeWeights() {
+  if (adopted_weights_ == nullptr) {
+    return;
+  }
+  weights_.assign(adopted_weights_->begin(), adopted_weights_->end());
+  adopted_weights_.reset();
+  if (weights_.size() < net_->num_nodes()) {
+    weights_.resize(net_->num_nodes(), 0.0);
+  }
+  // Evictions are never directed at ourselves (paper case 3: the page is
+  // sent to another node Q); our own weight only matters for the
+  // next-initiator bookkeeping (view_.my_weight).
+  if (self_.value < weights_.size()) {
+    weights_[self_.value] = 0;
+  }
+  // Integer counts: the sum is exact in any order.
+  remaining_weight_ = 0;
+  for (double w : weights_) {
+    remaining_weight_ += w;
+  }
+  sampler_stale_ = true;
+}
 
 void GmsPolicy::ReportStaleWeights() {
   if (stale_reported_ || view_.epoch == 0) {
@@ -511,7 +540,7 @@ void GmsPolicy::StartEpochAsInitiator() {
   TraceEventRaw(tracer_, sim_->now(), self_, TraceEventKind::kEpochStart, 0, 0,
                 collecting_epoch_);
   // Epoch traces use an id derived from the epoch number (the params
-  // messages sit at the payload-union size cap and carry no span field);
+  // message has no room for a span field under the payload-union size cap);
   // every node deterministically reconstructs the same trace id.
   epoch_span_ = SpanBegin(tracer_, sim_->now(), self_,
                           SpanRef{EpochTraceId(collecting_epoch_), 0});
@@ -847,7 +876,8 @@ void GmsPolicy::FinishSummaryCollection() {
   params.budget = plan.budget;
   params.next_initiator = plan.next_initiator;
   params.tree_root = self_;
-  params.weights = std::move(plan.weights);
+  params.weights =
+      std::make_shared<const std::vector<double>>(std::move(plan.weights));
 
   // Distribute down the same tree the summaries came up: a tree root pays
   // O(fanout) sends and marshal cost, and relays fan the rest out.
@@ -868,7 +898,7 @@ void GmsPolicy::FinishSummaryCollection() {
     SpanStep(tracer_, sim_->now(), self_, epoch_span_, SpanComp::kService);
     for (NodeId node : children) {
       Send(node, kMsgEpochParams,
-           EpochParamsBytes(config_.costs.header_size, params.weights.size()),
+           EpochParamsBytes(config_.costs.header_size, params.weights->size()),
            params);
     }
     AdoptEpochParams(params);
@@ -901,7 +931,7 @@ void GmsPolicy::HandleEpochParams(const EpochParams& msg) {
         }
         for (NodeId node : children) {
           Send(node, kMsgEpochParams,
-               EpochParamsBytes(config_.costs.header_size, msg.weights.size()),
+               EpochParamsBytes(config_.costs.header_size, msg.weights->size()),
                msg);
         }
       });
@@ -944,23 +974,12 @@ void GmsPolicy::AdoptEpochParams(const EpochParams& params) {
       epoch_span_ = SpanRef{};
     }
   }
-  weights_ = params.weights;
-  if (weights_.size() < net_->num_nodes()) {
-    weights_.resize(net_->num_nodes(), 0.0);
-  }
-  view_.my_weight =
-      self_.value < weights_.size() ? weights_[self_.value] : 0.0;
-  // Evictions are never directed at ourselves (paper case 3: the page is
-  // sent to another node Q); our own weight only matters for the
-  // next-initiator bookkeeping.
-  if (self_.value < weights_.size()) {
-    weights_[self_.value] = 0;
-  }
-  remaining_weight_ = 0;
-  for (double w : weights_) {
-    remaining_weight_ += w;
-  }
-  RebuildSampler();
+  // Keep the shared vector; MaterializeWeights copies it on first use.
+  assert(params.weights != nullptr);
+  adopted_weights_ = params.weights;
+  view_.my_weight = self_.value < adopted_weights_->size()
+                        ? (*adopted_weights_)[self_.value]
+                        : 0.0;
   putpages_this_epoch_ = 0;
   stale_reported_ = false;
   epoch_started_at_ = sim_->now();
@@ -1073,13 +1092,15 @@ void GmsPolicy::MasterRemoveNode(NodeId node) {
 }
 
 void GmsPolicy::MasterReconfigure(std::vector<NodeId> live, NodeId joined) {
-  PodTable table = Pod::Build(pod().version() + 1, std::move(live));
-  MemberUpdate update{table, self_, joined};
-  for (NodeId node : table.live) {
+  // One table for the whole cluster: every member adopts it read-only.
+  const auto table = std::make_shared<const PodTable>(
+      Pod::Build(pod().version() + 1, std::move(live)));
+  const MemberUpdate update{table, self_, joined};
+  for (NodeId node : table->live) {
     if (node != self_) {
       Send(node, kMsgMemberUpdate,
-           MemberUpdateBytes(config_.costs.header_size, table.live.size(),
-                             table.buckets.size()),
+           MemberUpdateBytes(config_.costs.header_size, table->live.size(),
+                             table->buckets.size()),
            update);
     }
   }
@@ -1087,7 +1108,7 @@ void GmsPolicy::MasterReconfigure(std::vector<NodeId> live, NodeId joined) {
 }
 
 void GmsPolicy::HandleMemberUpdate(const MemberUpdate& msg) {
-  if (msg.pod.version <= pod().version()) {
+  if (msg.pod->version <= pod().version()) {
     return;
   }
   if (msg.joined != kInvalidNode && msg.joined != self_) {
@@ -1112,6 +1133,7 @@ void GmsPolicy::HandleMemberUpdate(const MemberUpdate& msg) {
   }
   gcd().Prune(pod(), self_);
   // Departed nodes can no longer absorb evictions.
+  MaterializeWeights();
   bool changed = false;
   for (uint32_t i = 0; i < weights_.size(); i++) {
     if (weights_[i] > 0 && !pod().IsLive(NodeId{i})) {
@@ -1121,7 +1143,7 @@ void GmsPolicy::HandleMemberUpdate(const MemberUpdate& msg) {
     }
   }
   if (changed) {
-    RebuildSampler();
+    sampler_stale_ = true;
   }
   RepublishAfterPodChange();
   // The master restarts the epoch cycle so weights reflect the new world;
@@ -1281,7 +1303,7 @@ void GmsPolicy::HandleHeartbeatAck(const HeartbeatAck& msg) {
     Send(msg.node, kMsgMemberUpdate,
          MemberUpdateBytes(config_.costs.header_size, pod().table().live.size(),
                            pod().table().buckets.size()),
-         MemberUpdate{pod().table(), self_});
+         MemberUpdate{pod().shared_table(), self_});
   }
 }
 

@@ -137,7 +137,6 @@ class GmsPolicy final : public ReplacementPolicy {
 
   const EpochView& epoch_view() const { return view_; }
   NodeId master() const { return master_; }
-  double remaining_weight() const { return remaining_weight_; }
 
   // The MinAge the eviction test actually uses: view_.min_age scaled by the
   // adaptive factor when the extension is on, exactly view_.min_age when off.
@@ -160,7 +159,7 @@ class GmsPolicy final : public ReplacementPolicy {
 
   // Eviction targeting.
   std::optional<NodeId> SampleEvictionTarget();
-  void RebuildSampler();
+  void MaterializeWeights();
   void ReportStaleWeights();
 
   // Epoch machinery.
@@ -192,10 +191,17 @@ class GmsPolicy final : public ReplacementPolicy {
   NodeId master_;
   NodeId first_initiator_;  // consumed by OnStart
 
-  // Epoch participant state.
+  // Epoch participant state. The adopted weights stay shared with every
+  // other node (adopted_weights_) until this node first draws a target or
+  // loses a member; only then does it take the mutable copy the draws
+  // consume (weights_, self entry zeroed, summed into remaining_weight_).
+  // The sampler is built on the first draw after a weight change, so a node
+  // that never evicts to the cluster does no O(N) work per epoch.
   EpochView view_;
+  std::shared_ptr<const std::vector<double>> adopted_weights_;
   std::vector<double> weights_;
   AliasSampler sampler_;
+  bool sampler_stale_ = false;
   double remaining_weight_ = 0;
   uint64_t putpages_this_epoch_ = 0;  // absorbed by us (next-initiator side)
   uint32_t evictions_since_summary_ = 0;

@@ -200,12 +200,13 @@ struct EpochParams {
   // EpochConfig::fanout, receivers relay the params to their children in the
   // tree rooted here (the flat round's star has no relays). The branching
   // factor is not on the wire — it is uniform deployment configuration, like
-  // every other epoch constant. Sits in what was alignment padding, keeping
-  // the payload at the 64-byte ceiling.
+  // every other epoch constant. Sits in what was alignment padding.
   NodeId tree_root = kInvalidNode;
-  // weights[i] = w_i for cluster node i (dense by NodeId); zero for nodes
-  // with no old pages.
-  std::vector<double> weights;
+  // (*weights)[i] = w_i for cluster node i (dense by NodeId); zero for nodes
+  // with no old pages. The initiator allocates the vector once and every
+  // relay, retry and receiver shares it read-only; the simulated wire still
+  // carries all of it (EpochParamsBytes).
+  std::shared_ptr<const std::vector<double>> weights;
 };
 
 struct EpochStale {
@@ -226,7 +227,9 @@ struct PodTable {
 };
 
 struct MemberUpdate {
-  PodTable pod;
+  // The master builds one table per reconfiguration and every member adopts
+  // it read-only (Pod::Adopt); the wire carries the whole table.
+  std::shared_ptr<const PodTable> pod;
   NodeId master;
   // Node that (re)joined in this reconfiguration, if any. A rejoined node is
   // a fresh incarnation whose control-sequence streams restart from 1;
@@ -394,9 +397,9 @@ using MessagePayload =
 static_assert(sizeof(MessagePayload) <= 80,
               "keep Datagram contiguous and small: box oversized messages");
 
-// The SpanRef additions must not grow any alternative past the pre-existing
-// 64-byte ceiling (EpochParams / MemberUpdate), or sizeof(MessagePayload) —
-// and with it every Datagram and delivery closure — would grow.
+// The SpanRef additions must not grow any alternative past the 64-byte
+// ceiling, or sizeof(MessagePayload) — and with it every Datagram and
+// delivery closure — would grow.
 static_assert(sizeof(GetPageReq) <= 64 && sizeof(GetPageFwd) <= 64 &&
                   sizeof(GetPageReply) <= 64 && sizeof(GetPageMiss) <= 64 &&
                   sizeof(PutPage) <= 64 && sizeof(GcdUpdate) <= 64 &&

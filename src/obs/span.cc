@@ -103,7 +103,7 @@ void SpanForest::Link() {
     }
     // Other parentless spans (epoch participants adopting broadcast params)
     // hang off the root: the broadcast is their causal parent even though
-    // the 64-byte epoch payloads cannot carry the root's span id.
+    // the epoch params payload cannot carry the root's span id.
     if (trace.root != 0) {
       for (auto& [sid, span] : trace.spans) {
         if (span.parent == 0 && sid != trace.root) {

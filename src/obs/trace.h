@@ -130,8 +130,8 @@ enum class SpanStatus : uint32_t {
 };
 
 // Epoch rounds derive their trace id from the epoch number instead of a
-// counter: EpochParams and MemberUpdate sit at the payload size cap and
-// cannot carry a SpanRef, but every participant knows the epoch.
+// counter: EpochParams has no room for a SpanRef under the payload size cap,
+// but every participant knows the epoch.
 inline constexpr uint64_t EpochTraceId(uint64_t epoch) {
   return (static_cast<uint64_t>(SpanOp::kEpoch) << 56) | epoch;
 }

@@ -18,9 +18,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <utility>
 
+#include "src/cluster/cluster.h"
 #include "src/common/node_id.h"
 #include "src/core/cache_engine.h"
 #include "src/core/directory.h"
@@ -40,9 +42,11 @@ namespace {
 
 std::atomic<uint64_t> g_allocs{0};
 std::atomic<uint64_t> g_frees{0};
+std::atomic<uint64_t> g_alloc_bytes{0};
 
 void* CountedAlloc(std::size_t size) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
   void* p = std::malloc(size == 0 ? 1 : size);
   if (p == nullptr) {
     throw std::bad_alloc();
@@ -74,8 +78,12 @@ namespace {
 struct AllocWindow {
   uint64_t allocs0 = g_allocs.load(std::memory_order_relaxed);
   uint64_t frees0 = g_frees.load(std::memory_order_relaxed);
+  uint64_t bytes0 = g_alloc_bytes.load(std::memory_order_relaxed);
   uint64_t allocs() const {
     return g_allocs.load(std::memory_order_relaxed) - allocs0;
+  }
+  uint64_t bytes() const {
+    return g_alloc_bytes.load(std::memory_order_relaxed) - bytes0;
   }
   uint64_t frees() const {
     return g_frees.load(std::memory_order_relaxed) - frees0;
@@ -346,7 +354,8 @@ TEST(AllocTest, EngineDispatchIsAllocationFreeAtSteadyState) {
   FrameTable frames(16);
   CacheEngine engine(&sim, &net, &cpu, &frames, NodeId{1}, EngineConfig{},
                      std::make_unique<HybridLfuPolicy>(/*seed=*/1));
-  engine.Start(Pod::Build(1, {NodeId{0}, NodeId{1}}));
+  engine.Start(std::make_shared<const PodTable>(
+      Pod::Build(1, {NodeId{0}, NodeId{1}})));
   net.Attach(NodeId{1},
              [&engine](Datagram&& d) { engine.OnDatagram(std::move(d)); });
   uint64_t remaining = 0;
@@ -479,7 +488,8 @@ TEST(AllocTest, EnsembleEngineDispatchIsAllocationFreeAtSteadyState) {
   config.ghost_capacity = 64;
   CacheEngine engine(&sim, &net, &cpu, &frames, NodeId{1}, EngineConfig{},
                      std::make_unique<EnsemblePolicy>(/*seed=*/1, config));
-  engine.Start(Pod::Build(1, {NodeId{0}, NodeId{1}}));
+  engine.Start(std::make_shared<const PodTable>(
+      Pod::Build(1, {NodeId{0}, NodeId{1}})));
   net.Attach(NodeId{1},
              [&engine](Datagram&& d) { engine.OnDatagram(std::move(d)); });
   uint64_t remaining = 0;
@@ -592,6 +602,59 @@ TEST(AllocTest, HealthSamplingIsAllocationFreeAtSteadyState) {
   EXPECT_EQ(window.frees(), 0u);
 }
 
+// Per-node heap traffic of the epoch protocol on an idle fanout-16 tree: a
+// node's share of a round must be O(fanout + log N), not O(N). Every O(N)
+// buffer a node used to take per epoch (a sorted copy of the membership, a
+// copy of the weight vector, an alias table) was one reserved allocation,
+// so the allocation count per node stays flat either way; the bytes show
+// the difference. Going from 250 to 2000 nodes adds one tree level (each
+// node's sparse stat is copied once more on the way up), so bytes per node
+// may grow by that level but not with N: O(N) per node would grow ~8x.
+struct EpochAllocs {
+  double allocs_per_node_epoch = 0;
+  double bytes_per_node_epoch = 0;
+};
+
+EpochAllocs MeasureIdleTreeEpochs(uint32_t nodes) {
+  ClusterConfig config;
+  config.num_nodes = nodes;
+  config.policy = PolicyKind::kGms;
+  config.frames = 16;
+  config.seed = 1;
+  config.gms.epoch.t_min = Milliseconds(200);
+  config.gms.epoch.t_max = Milliseconds(400);
+  config.gms.epoch.summary_timeout = Milliseconds(100);
+  config.gms.epoch.fanout = 16;
+  Cluster cluster(config);
+  cluster.Start();
+  const GmsAgent& root = *cluster.gms_agent(NodeId{0});
+  auto run_to_epoch = [&](uint64_t epoch) {
+    while (root.epoch_view().epoch < epoch) {
+      cluster.sim().RunFor(Milliseconds(1));
+    }
+  };
+  constexpr uint64_t kWarmEpochs = 2;
+  constexpr uint64_t kMeasuredEpochs = 4;
+  run_to_epoch(kWarmEpochs);
+  const AllocWindow window;
+  run_to_epoch(kWarmEpochs + kMeasuredEpochs);
+  const double node_epochs = static_cast<double>(nodes) * kMeasuredEpochs;
+  return EpochAllocs{static_cast<double>(window.allocs()) / node_epochs,
+                     static_cast<double>(window.bytes()) / node_epochs};
+}
+
+TEST(AllocTest, EpochHeapTrafficPerNodeDoesNotGrowWithClusterSize) {
+  const EpochAllocs small = MeasureIdleTreeEpochs(250);
+  const EpochAllocs large = MeasureIdleTreeEpochs(2000);
+  EXPECT_LE(large.allocs_per_node_epoch, 1.25 * small.allocs_per_node_epoch)
+      << "250 nodes: " << small.allocs_per_node_epoch
+      << " allocations per node-epoch, 2000 nodes: "
+      << large.allocs_per_node_epoch;
+  EXPECT_LE(large.bytes_per_node_epoch, 2.0 * small.bytes_per_node_epoch)
+      << "250 nodes: " << small.bytes_per_node_epoch
+      << " bytes per node-epoch, 2000 nodes: " << large.bytes_per_node_epoch;
+}
+
 TEST(AllocTest, CountersActuallyCount) {
   // Sanity-check the hook itself so a silent linker change (the override not
   // taking effect) cannot turn the suite into a vacuous pass.
@@ -599,6 +662,7 @@ TEST(AllocTest, CountersActuallyCount) {
   int* p = new int(3);
   delete p;
   EXPECT_GE(window.allocs(), 1u);
+  EXPECT_GE(window.bytes(), sizeof(int));
   EXPECT_GE(window.frees(), 1u);
 }
 

@@ -20,10 +20,16 @@
 namespace gms {
 namespace {
 
+// gtest prints a parameter's bytes into its ctest name, so the padding hole
+// after `policy` is an explicit zeroed field: the names stay the same from
+// build to build.
 struct PropertyCase {
   PolicyKind policy;
+  uint32_t pad = 0;
   uint64_t seed;
 };
+static_assert(sizeof(PropertyCase) == 16,
+              "property ctest names print 16 bytes");
 
 class ClusterPropertyTest : public ::testing::TestWithParam<PropertyCase> {
  protected:
@@ -162,18 +168,19 @@ TEST_P(ClusterPropertyTest, FaultsAreServedBySomething) {
 
 INSTANTIATE_TEST_SUITE_P(
     PoliciesAndSeeds, ClusterPropertyTest,
-    ::testing::Values(PropertyCase{PolicyKind::kGms, 1},
-                      PropertyCase{PolicyKind::kGms, 2},
-                      PropertyCase{PolicyKind::kGms, 99},
-                      PropertyCase{PolicyKind::kNchance, 1},
-                      PropertyCase{PolicyKind::kNchance, 7},
-                      PropertyCase{PolicyKind::kLocalLru, 1},
-                      PropertyCase{PolicyKind::kHybridLfu, 1},
-                      PropertyCase{PolicyKind::kHybridLfu, 7},
-                      PropertyCase{PolicyKind::kEnsemble, 1},
-                      PropertyCase{PolicyKind::kEnsemble, 7},
-                      PropertyCase{PolicyKind::kAdaptiveGms, 1},
-                      PropertyCase{PolicyKind::kNone, 1}),
+    ::testing::Values(
+        PropertyCase{.policy = PolicyKind::kGms, .seed = 1},
+        PropertyCase{.policy = PolicyKind::kGms, .seed = 2},
+        PropertyCase{.policy = PolicyKind::kGms, .seed = 99},
+        PropertyCase{.policy = PolicyKind::kNchance, .seed = 1},
+        PropertyCase{.policy = PolicyKind::kNchance, .seed = 7},
+        PropertyCase{.policy = PolicyKind::kLocalLru, .seed = 1},
+        PropertyCase{.policy = PolicyKind::kHybridLfu, .seed = 1},
+        PropertyCase{.policy = PolicyKind::kHybridLfu, .seed = 7},
+        PropertyCase{.policy = PolicyKind::kEnsemble, .seed = 1},
+        PropertyCase{.policy = PolicyKind::kEnsemble, .seed = 7},
+        PropertyCase{.policy = PolicyKind::kAdaptiveGms, .seed = 1},
+        PropertyCase{.policy = PolicyKind::kNone, .seed = 1}),
     [](const auto& info) {
       std::string name;
       switch (info.param.policy) {

@@ -14,6 +14,7 @@
 
 #include "src/cluster/cluster.h"
 #include "src/common/rng.h"
+#include "src/core/directory.h"
 #include "src/core/epoch.h"
 
 namespace gms {
@@ -50,18 +51,18 @@ EpochPartial ReduceSubtree(const EpochTree& tree, size_t pos,
                            uint64_t epoch, Rng& rng) {
   EpochPartial acc;
   acc.epoch = epoch;
-  acc.from = tree.order[pos];
+  acc.from = tree.At(pos);
 
   // -1 stands for "fold my own summary"; the rest are child positions.
   std::vector<size_t> steps = {static_cast<size_t>(-1)};
-  const size_t first = pos * tree.fanout + 1;
-  for (size_t c = first; c < tree.size() && c < first + tree.fanout; c++) {
+  const size_t first = pos * tree.fanout() + 1;
+  for (size_t c = first; c < tree.size() && c < first + tree.fanout(); c++) {
     steps.push_back(c);
   }
   Shuffle(rng, steps);
   for (size_t step : steps) {
     if (step == static_cast<size_t>(-1)) {
-      EXPECT_TRUE(acc.MergeSummary(by_node[tree.order[pos].value]));
+      EXPECT_TRUE(acc.MergeSummary(by_node[tree.At(pos).value]));
     } else {
       const EpochPartial child = ReduceSubtree(tree, step, by_node, epoch, rng);
       EXPECT_TRUE(acc.MergePartial(child));
@@ -131,7 +132,8 @@ TEST(EpochTreeTest, TreeMatchesFlatAcrossScalesAndFanouts) {
                                                 last_duration, root);
 
         // Tree: reduce bottom-up with random per-aggregator interleavings.
-        const EpochTree tree = EpochTree::Build(LiveNodes(n), root, fanout);
+        const std::vector<NodeId> live = LiveNodes(n);
+        const EpochTree tree = EpochTree::Build(live, root, fanout);
         ASSERT_EQ(tree.size(), n);
         const EpochPartial reduced =
             ReduceSubtree(tree, 0, by_node, epoch, rng);
@@ -155,7 +157,8 @@ TEST(EpochTreeTest, DuplicatedDeliveriesAreIdempotent) {
   for (uint32_t i = 0; i < n; i++) {
     by_node.push_back(RandomSummary(rng, NodeId{i}, 7));
   }
-  const EpochTree tree = EpochTree::Build(LiveNodes(n), NodeId{3}, 2);
+  const std::vector<NodeId> live = LiveNodes(n);
+  const EpochTree tree = EpochTree::Build(live, NodeId{3}, 2);
 
   EpochPartial acc;
   acc.epoch = 7;
@@ -274,16 +277,24 @@ TEST(EpochTreeTest, TreeShapeIsCanonicalAndConsistent) {
   for (uint32_t n : {1u, 2u, 17u, 100u}) {
     for (uint32_t fanout : {0u, 2u, 4u, 16u, n}) {
       const NodeId root{n / 2};
-      std::vector<NodeId> live = LiveNodes(n);
-      Shuffle(rng, live);  // membership join order must not matter
-      const EpochTree tree = EpochTree::Build(live, root, fanout);
-      const EpochTree sorted = EpochTree::Build(LiveNodes(n), root, fanout);
-      ASSERT_EQ(tree.order, sorted.order);
+      std::vector<NodeId> joined = LiveNodes(n);
+      Shuffle(rng, joined);  // membership join order must not matter
+      // Pod::Build sorts the membership; the tree is a view over that order.
+      const PodTable pod = Pod::Build(1, joined);
+      const std::vector<NodeId> sorted_live = LiveNodes(n);
+      const EpochTree tree = EpochTree::Build(pod.live, root, fanout);
+      const EpochTree sorted = EpochTree::Build(sorted_live, root, fanout);
+      ASSERT_EQ(tree.size(), sorted.size());
+      std::vector<NodeId> order;
+      for (size_t pos = 0; pos < tree.size(); pos++) {
+        ASSERT_EQ(tree.At(pos), sorted.At(pos));
+        order.push_back(tree.At(pos));
+      }
 
       // Coverage: every node exactly once, root in front.
       ASSERT_EQ(tree.size(), n);
-      ASSERT_EQ(tree.order[0], root);
-      std::vector<NodeId> seen = tree.order;
+      ASSERT_EQ(tree.At(0), root);
+      std::vector<NodeId> seen = order;
       std::sort(seen.begin(), seen.end(),
                 [](NodeId a, NodeId b) { return a.value < b.value; });
       ASSERT_EQ(seen, LiveNodes(n));
@@ -291,7 +302,7 @@ TEST(EpochTreeTest, TreeShapeIsCanonicalAndConsistent) {
       ASSERT_EQ(tree.SubtreeSize(root), n);
       EXPECT_EQ(tree.Parent(root), kInvalidNode);
       size_t covered = 1;
-      for (NodeId node : tree.order) {
+      for (NodeId node : order) {
         size_t child_total = 0;
         for (NodeId child : tree.Children(node)) {
           EXPECT_EQ(tree.Parent(child), node);
@@ -316,6 +327,99 @@ TEST(EpochTreeTest, TreeShapeIsCanonicalAndConsistent) {
   }
 }
 
+// The form the index view replaced: the order materialized as a vector
+// (root first, then every other live node by id) with the heap arithmetic
+// applied to it directly.
+struct NaiveTree {
+  std::vector<NodeId> order;
+  size_t fanout = 1;
+
+  std::vector<NodeId> Children(size_t pos) const {
+    std::vector<NodeId> children;
+    for (size_t c = pos * fanout + 1;
+         c < order.size() && c < pos * fanout + 1 + fanout; c++) {
+      children.push_back(order[c]);
+    }
+    return children;
+  }
+  size_t SubtreeSize(size_t pos) const {
+    size_t total = 1;
+    for (size_t c = pos * fanout + 1;
+         c < order.size() && c < pos * fanout + 1 + fanout; c++) {
+      total += SubtreeSize(c);
+    }
+    return total;
+  }
+};
+
+NaiveTree MaterializeTree(std::vector<NodeId> live, NodeId root,
+                          uint32_t fanout) {
+  NaiveTree tree;
+  std::sort(live.begin(), live.end());
+  tree.order.push_back(root);
+  for (NodeId node : live) {
+    if (node != root) {
+      tree.order.push_back(node);
+    }
+  }
+  tree.fanout = fanout > 0 ? fanout
+                           : std::max<size_t>(tree.order.size() - 1, 1);
+  return tree;
+}
+
+// The view borrows its live list, so a temporary must not bind to Build.
+template <typename Live>
+constexpr bool kBuildsFrom = requires(Live live) {
+  EpochTree::Build(std::move(live), NodeId{}, 0u);
+};
+static_assert(kBuildsFrom<const std::vector<NodeId>&>);
+static_assert(!kBuildsFrom<std::vector<NodeId>>);
+
+TEST(EpochTreeTest, IndexViewMatchesMaterializedOrder) {
+  Rng rng(11);
+  for (uint32_t n : {1u, 2u, 5u, 33u, 200u}) {
+    for (uint32_t fanout : {0u, 1u, 3u, 16u}) {
+      for (bool root_live : {true, false}) {
+        // Live ids are 1 mod 3, so ranks differ from ids; an absent root is
+        // 2 mod 3, anywhere from below the first member to past the last;
+        // id 0 is never in the tree.
+        std::vector<NodeId> joined;
+        for (uint32_t i = 0; i < n; i++) {
+          joined.push_back(NodeId{i * 3 + 1});
+        }
+        const NodeId root =
+            root_live ? joined[rng.NextBelow(n)]
+                      : NodeId{static_cast<uint32_t>(rng.NextBelow(n + 1)) * 3 +
+                               2};
+        Shuffle(rng, joined);
+        const PodTable pod = Pod::Build(1, joined);
+        const EpochTree tree = EpochTree::Build(pod.live, root, fanout);
+        const NaiveTree naive = MaterializeTree(joined, root, fanout);
+        SCOPED_TRACE(::testing::Message()
+                     << "n=" << n << " fanout=" << fanout
+                     << " root=" << root.value << " live=" << root_live);
+
+        ASSERT_EQ(tree.size(), naive.order.size());
+        ASSERT_EQ(tree.fanout(), naive.fanout);
+        for (size_t pos = 0; pos < naive.order.size(); pos++) {
+          const NodeId node = naive.order[pos];
+          ASSERT_EQ(tree.At(pos), node) << "pos " << pos;
+          EXPECT_EQ(tree.IndexOf(node), pos);
+          EXPECT_EQ(tree.Parent(node),
+                    pos == 0 ? kInvalidNode
+                             : naive.order[(pos - 1) / naive.fanout]);
+          EXPECT_EQ(tree.Children(node), naive.Children(pos));
+          EXPECT_EQ(tree.SubtreeSize(node), naive.SubtreeSize(pos));
+        }
+        EXPECT_EQ(tree.IndexOf(NodeId{0}), EpochTree::kNone);
+        EXPECT_EQ(tree.Parent(NodeId{0}), kInvalidNode);
+        EXPECT_TRUE(tree.Children(NodeId{0}).empty());
+        EXPECT_EQ(tree.SubtreeSize(NodeId{0}), 0u);
+      }
+    }
+  }
+}
+
 TEST(EpochTreeTest, CollectTimeoutScalesWithSubtreeHeight) {
   EpochConfig config;
   config.summary_timeout = Milliseconds(100);
@@ -330,7 +434,8 @@ TEST(EpochTreeTest, CollectTimeoutScalesWithSubtreeHeight) {
   }
   // A 1000-node fanout-2 tree is ~9 levels; the root's window must cover
   // every level below it.
-  const EpochTree tree = EpochTree::Build(LiveNodes(1000), NodeId{0}, 2);
+  const std::vector<NodeId> live = LiveNodes(1000);
+  const EpochTree tree = EpochTree::Build(live, NodeId{0}, 2);
   EXPECT_GE(TreeCollectTimeout(config, tree.SubtreeHeight(NodeId{0})),
             config.summary_timeout *
                 static_cast<SimTime>(tree.SubtreeHeight(NodeId{0})));

@@ -167,7 +167,7 @@ TEST(CacheEngineEvictDirtyTest, PolicyDefaultDeclinesDirtyFrames) {
   FrameTable frames(8);
   CacheEngine engine(&sim, &net, &cpu, &frames, NodeId{0}, EngineConfig{},
                      std::make_unique<LocalLruPolicy>());
-  engine.Start(Pod::Build(1, {NodeId{0}}));
+  engine.Start(std::make_shared<const PodTable>(Pod::Build(1, {NodeId{0}})));
   const Uid uid = MakeAnonUid(NodeId{0}, 1, 0);
   Frame* frame = frames.Allocate(uid, PageLocation::kLocal, sim.now());
   ASSERT_NE(frame, nullptr);
@@ -186,7 +186,7 @@ TEST(CacheEngineEvictDirtyTest, LocalPolicyGetPageMatchesNullService) {
   FrameTable frames(8);
   CacheEngine engine(&sim, &net, &cpu, &frames, NodeId{0}, EngineConfig{},
                      std::make_unique<LocalLruPolicy>());
-  engine.Start(Pod::Build(1, {NodeId{0}}));
+  engine.Start(std::make_shared<const PodTable>(Pod::Build(1, {NodeId{0}})));
   bool fired = false;
   GetPageResult got;
   SpanRef parent;

@@ -17,10 +17,15 @@
 namespace gms {
 namespace {
 
+// gtest prints a parameter's bytes into its ctest name, so the padding after
+// `remote_cache` is an explicit zeroed field: the names stay the same from
+// build to build.
 struct MatrixCase {
   PolicyKind policy;
   bool remote_cache;  // does the policy serve getpage hits from peers?
+  uint8_t pad[3] = {};
 };
+static_assert(sizeof(MatrixCase) == 8, "matrix ctest names print 8 bytes");
 
 // Working set ~3x node 0's memory, revisited several times: plenty of
 // evictions (putpage/forward/drop traffic) and re-faults (getpage).

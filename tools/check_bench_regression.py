@@ -76,13 +76,15 @@ def check_epoch_cost(path, doc, max_root_cost):
     return 0
 
 
-def check_epoch_scaleout(path, doc, max_root_cost):
+def check_epoch_scaleout(path, doc, max_root_cost, max_peak_rss_mb=None):
     """Gate a schema-2 epoch_scaleout doc (fig7_scaleout --scaleout_nodes).
 
     These docs have no committed baseline — the bound is absolute: the
     initiator's summary traffic per epoch must stay at the tree's fanout
     (plus straggler re-requests), never at O(N). A missing bound is an
-    error so CI cannot silently run the job unguarded.
+    error so CI cannot silently run the job unguarded. With
+    --max-peak-rss-mb the process's peak RSS is bounded too: per-node epoch
+    state that grows with N shows up there first (O(N^2) bytes in total).
     """
     if max_root_cost is None:
         sys.exit(f"{path}: epoch_scaleout doc requires --max-epoch-root-cost")
@@ -104,6 +106,18 @@ def check_epoch_scaleout(path, doc, max_root_cost):
             f"--max-epoch-root-cost {max_root_cost:.1f}: the initiator's "
             "traffic is scaling with N, not fanout"
         )
+    if max_peak_rss_mb is not None:
+        rss = doc.get("peak_rss_mb")
+        print(f"epoch_scaleout: peak_rss_mb={rss} "
+              f"(limit {max_peak_rss_mb:.0f})")
+        if rss is None:
+            failures.append(f"{path}: missing peak_rss_mb")
+        elif rss > max_peak_rss_mb:
+            failures.append(
+                f"peak RSS {rss:.1f} MB exceeds --max-peak-rss-mb "
+                f"{max_peak_rss_mb:.0f}: per-node epoch state is growing "
+                "with N"
+            )
     if failures:
         print("\nFAIL: epoch scale-out bound violated:", file=sys.stderr)
         for f in failures:
@@ -192,6 +206,13 @@ def main():
         "skip the baseline comparison entirely",
     )
     parser.add_argument(
+        "--max-peak-rss-mb",
+        type=float,
+        default=None,
+        help="for schema-2 epoch_scaleout docs: maximum allowed peak RSS of "
+        "the fig7_scaleout process in MB (the doc's peak_rss_mb field)",
+    )
+    parser.add_argument(
         "--phase-change-tolerance",
         type=float,
         default=0.05,
@@ -214,7 +235,8 @@ def main():
         cur_raw = json.load(f)
     if cur_raw.get("schema") == 2 and cur_raw.get("kind") == "epoch_scaleout":
         return check_epoch_scaleout(args.current, cur_raw,
-                                    args.max_epoch_root_cost)
+                                    args.max_epoch_root_cost,
+                                    args.max_peak_rss_mb)
     if cur_raw.get("schema") == 2 and cur_raw.get("kind") == "epoch_cost":
         return check_epoch_cost(args.current, cur_raw,
                                 args.max_epoch_root_cost)
