@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "src/common/flat_set.h"
+
 namespace gms {
 
 // ---------------------------------------------------------------------------
@@ -62,6 +64,22 @@ void AccumulateAgeHistogram(const FrameTable& frames, SimTime now,
   }
 }
 
+namespace {
+
+// FlatSet64 reserves key 0 for empty slots, so node n is keyed n + 1.
+uint64_t NodeKey(NodeId node) { return uint64_t{node.value} + 1; }
+
+FlatSet64 NodeKeys(const std::vector<EpochNodeStat>& nodes) {
+  FlatSet64 keys;
+  keys.Reserve(nodes.size());
+  for (const EpochNodeStat& n : nodes) {
+    keys.Insert(NodeKey(n.node));
+  }
+  return keys;
+}
+
+}  // namespace
+
 bool EpochPartial::Contains(NodeId node) const {
   for (const EpochNodeStat& n : nodes) {
     if (n.node == node) {
@@ -69,6 +87,18 @@ bool EpochPartial::Contains(NodeId node) const {
     }
   }
   return false;
+}
+
+std::vector<NodeId> EpochPartial::MissingFrom(
+    const std::vector<NodeId>& members) const {
+  const FlatSet64 have = NodeKeys(nodes);
+  std::vector<NodeId> missing;
+  for (NodeId node : members) {
+    if (!have.Contains(NodeKey(node))) {
+      missing.push_back(node);
+    }
+  }
+  return missing;
 }
 
 bool EpochPartial::MergeSummary(const EpochSummary& s) {
@@ -87,18 +117,20 @@ bool EpochPartial::MergePartial(const EpochPartial& other) {
   // tree partial racing the root's direct re-request — fold only the new
   // nodes, reconstructing their histogram contribution from the sparse
   // stats; either path preserves the invariant that `ages`/`evictions` are
-  // exactly the sums over `nodes`.
+  // exactly the sums over `nodes`. One hash set over our nodes makes the
+  // whole merge O(|nodes| + |other.nodes|).
+  if (other.nodes.empty()) {
+    return false;
+  }
+  FlatSet64 have = NodeKeys(nodes);
   bool overlap = false;
   for (const EpochNodeStat& n : other.nodes) {
-    if (Contains(n.node)) {
+    if (have.Contains(NodeKey(n.node))) {
       overlap = true;
       break;
     }
   }
   if (!overlap) {
-    if (other.nodes.empty()) {
-      return false;
-    }
     ages.Merge(other.ages);
     evictions += other.evictions;
     nodes.insert(nodes.end(), other.nodes.begin(), other.nodes.end());
@@ -106,7 +138,7 @@ bool EpochPartial::MergePartial(const EpochPartial& other) {
   }
   bool any = false;
   for (const EpochNodeStat& n : other.nodes) {
-    if (Contains(n.node)) {
+    if (!have.Insert(NodeKey(n.node))) {
       continue;
     }
     for (const auto& [bucket, count] : n.buckets) {

@@ -842,8 +842,8 @@ void GmsPolicy::FinishSummaryCollection() {
     // orphaned descendants answer this direct request instead.
     summaries_rerequested_ = true;
     stats().control_retries++;
-    for (NodeId node : pod().table().live) {
-      if (node != self_ && !root_acc_.Contains(node)) {
+    for (NodeId node : root_acc_.MissingFrom(pod().table().live)) {
+      if (node != self_) {
         Send(node, kMsgEpochSummaryReq, config_.costs.small_message_bytes(),
              EpochSummaryReq{collecting_epoch_, self_});
       }

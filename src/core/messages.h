@@ -184,6 +184,9 @@ struct EpochPartial {
   std::vector<EpochNodeStat> nodes;
 
   bool Contains(NodeId node) const;
+  // The entries of `members` this partial holds no stats for, in order;
+  // O(|members| + |nodes|).
+  std::vector<NodeId> MissingFrom(const std::vector<NodeId>& members) const;
   // Folds one node's summary / another subtree's partial. Returns false if
   // nothing new was folded (every node already present).
   bool MergeSummary(const EpochSummary& s);

@@ -3,8 +3,9 @@
 #include <bit>
 #include <cinttypes>
 #include <cmath>
-#include <cstdarg>
 #include <cstdio>
+
+#include "src/obs/json_append.h"
 
 namespace gms {
 
@@ -220,50 +221,32 @@ void HealthMonitor::Sample(SimTime now) {
   }
 }
 
-namespace {
-
-void AppendHealthF(std::string* out, const char* fmt, ...) {
-  char buf[256];
-  va_list args;
-  va_start(args, fmt);
-  const int n = std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  if (n > 0) {
-    out->append(buf, static_cast<size_t>(n) < sizeof(buf)
-                         ? static_cast<size_t>(n)
-                         : sizeof(buf) - 1);
-  }
-}
-
-}  // namespace
-
 std::string HealthMonitor::ToJson() const {
   std::string out;
   out.reserve(1024 + incidents_.size() * 128);
   out += "{\n  \"schema\": 1,\n";
-  AppendHealthF(&out, "  \"nodes\": %u,\n", num_nodes_);
-  AppendHealthF(&out, "  \"samples\": %" PRIu64 ",\n", samples_);
-  AppendHealthF(&out, "  \"total_incidents\": %" PRIu64 ",\n",
-                static_cast<uint64_t>(incidents_.size()) + incidents_dropped_);
-  AppendHealthF(&out, "  \"incidents_dropped\": %" PRIu64 ",\n",
-                incidents_dropped_);
+  AppendF(&out, "  \"nodes\": %u,\n", num_nodes_);
+  AppendF(&out, "  \"samples\": %" PRIu64 ",\n", samples_);
+  AppendF(&out, "  \"total_incidents\": %" PRIu64 ",\n",
+          static_cast<uint64_t>(incidents_.size()) + incidents_dropped_);
+  AppendF(&out, "  \"incidents_dropped\": %" PRIu64 ",\n",
+          incidents_dropped_);
   out += "  \"class_counts\": {";
   // Emitted in enum order (fixed set, stable by construction).
   for (size_t c = 1; c < kNumIncidentClasses; c++) {
-    AppendHealthF(&out, "%s\"%s\": %" PRIu64, c == 1 ? "" : ", ",
-                  IncidentClassName(static_cast<IncidentClass>(c)),
-                  class_counts_[c]);
+    AppendF(&out, "%s\"%s\": %" PRIu64, c == 1 ? "" : ", ",
+            IncidentClassName(static_cast<IncidentClass>(c)),
+            class_counts_[c]);
   }
   out += "},\n  \"incidents\": [\n";
   for (size_t i = 0; i < incidents_.size(); i++) {
     const HealthIncident& inc = incidents_[i];
-    AppendHealthF(&out,
-                  "    {\"time_ns\": %lld, \"node\": %u, \"class\": \"%s\", "
-                  "\"value\": %.6g, \"threshold\": %.6g}%s\n",
-                  static_cast<long long>(inc.time),
-                  static_cast<unsigned>(inc.node), IncidentClassName(inc.cls),
-                  inc.value, inc.threshold,
-                  i + 1 < incidents_.size() ? "," : "");
+    AppendF(&out,
+            "    {\"time_ns\": %lld, \"node\": %u, \"class\": \"%s\", "
+            "\"value\": %.6g, \"threshold\": %.6g}%s\n",
+            static_cast<long long>(inc.time),
+            static_cast<unsigned>(inc.node), IncidentClassName(inc.cls),
+            inc.value, inc.threshold, i + 1 < incidents_.size() ? "," : "");
   }
   out += "  ]\n}\n";
   return out;

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <bit>
-#include <cinttypes>
+#include <charconv>
 #include <cmath>
-#include <cstdarg>
-#include <cstdio>
 #include <utility>
+
+#include "src/obs/json_append.h"
 
 namespace gms {
 
@@ -98,31 +98,19 @@ bool MetricsRegistry::RegisterNamed(std::string name, Metric metric) {
 }
 
 bool MetricsRegistry::RegisterValue(std::string name, ValueFn fn) {
-  Metric m;
-  m.kind = Kind::kValue;
-  m.value = std::move(fn);
-  return RegisterNamed(std::move(name), std::move(m));
+  return RegisterNamed(std::move(name), Metric(std::move(fn)));
 }
 
 bool MetricsRegistry::RegisterCounter(std::string name, CounterFn fn) {
-  Metric m;
-  m.kind = Kind::kCounter;
-  m.counter = std::move(fn);
-  return RegisterNamed(std::move(name), std::move(m));
+  return RegisterNamed(std::move(name), Metric(std::move(fn)));
 }
 
 bool MetricsRegistry::RegisterStat(std::string name, StatFn fn) {
-  Metric m;
-  m.kind = Kind::kStat;
-  m.stat = std::move(fn);
-  return RegisterNamed(std::move(name), std::move(m));
+  return RegisterNamed(std::move(name), Metric(std::move(fn)));
 }
 
 bool MetricsRegistry::RegisterLatency(std::string name, LatencyFn fn) {
-  Metric m;
-  m.kind = Kind::kLatency;
-  m.latency = std::move(fn);
-  return RegisterNamed(std::move(name), std::move(m));
+  return RegisterNamed(std::move(name), Metric(std::move(fn)));
 }
 
 const MetricsRegistry::Metric* MetricsRegistry::Find(
@@ -132,15 +120,15 @@ const MetricsRegistry::Metric* MetricsRegistry::Find(
 }
 
 uint64_t MetricsRegistry::PrimaryValue(const Metric& m) const {
-  switch (m.kind) {
+  switch (static_cast<Kind>(m.index())) {
     case Kind::kValue:
-      return m.value();
+      return (*std::get_if<ValueFn>(&m))();
     case Kind::kCounter:
-      return m.counter()->events;
+      return (*std::get_if<CounterFn>(&m))()->events;
     case Kind::kStat:
-      return m.stat()->count();
+      return (*std::get_if<StatFn>(&m))()->count();
     case Kind::kLatency:
-      return m.latency()->count();
+      return (*std::get_if<LatencyFn>(&m))()->count();
   }
   return 0;
 }
@@ -159,7 +147,7 @@ std::optional<MetricsRegistry::Kind> MetricsRegistry::KindOf(
   if (m == nullptr) {
     return std::nullopt;
   }
-  return m->kind;
+  return static_cast<Kind>(m->index());
 }
 
 size_t MetricsRegistry::IndexOf(std::string_view name) const {
@@ -172,10 +160,11 @@ uint64_t MetricsRegistry::ValueAt(size_t index) const {
 }
 
 const LatencyHistogram* MetricsRegistry::LatencyAt(size_t index) const {
-  if (index >= metrics_.size() || metrics_[index].kind != Kind::kLatency) {
+  if (index >= metrics_.size()) {
     return nullptr;
   }
-  return metrics_[index].latency();
+  const LatencyFn* fn = std::get_if<LatencyFn>(&metrics_[index]);
+  return fn == nullptr ? nullptr : (*fn)();
 }
 
 void MetricsRegistry::SnapshotEpoch(SimTime now) {
@@ -190,37 +179,11 @@ void MetricsRegistry::SnapshotEpoch(SimTime now) {
 
 namespace {
 
-void AppendF(std::string* out, const char* fmt, ...) {
-  char buf[256];
-  va_list args;
-  va_start(args, fmt);
-  const int n = std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  if (n > 0) {
-    out->append(buf, static_cast<size_t>(n) < sizeof(buf)
-                         ? static_cast<size_t>(n)
-                         : sizeof(buf) - 1);
-  }
-}
-
-// Proper JSON string escaping: quotes, backslashes, and control characters
-// round-trip losslessly instead of being squashed to '_'.
-void AppendJsonString(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    const unsigned char u = static_cast<unsigned char>(c);
-    if (c == '"') {
-      *out += "\\\"";
-    } else if (c == '\\') {
-      *out += "\\\\";
-    } else if (u < 0x20) {
-      AppendF(out, "\\u%04x", u);
-    } else {
-      out->push_back(c);
-    }
-  }
-  out->push_back('"');
-}
+// Upper bounds on the bytes one exported entry adds beyond its quoted name:
+// the fixed JSON text plus the longest form of each number in it (a %.6g
+// double is at most 13 bytes, "-1.23457e+308").
+constexpr size_t kMetricEntryMaxBytes = 200;
+constexpr size_t kSeriesValueMaxBytes = 2 + kMaxJsonIntChars;  // ", " + int
 
 }  // namespace
 
@@ -235,8 +198,15 @@ std::string MetricsRegistry::ToJson() const {
   std::sort(order.begin(), order.end(), [this](size_t a, size_t b) {
     return names_[a] < names_[b];
   });
+  // One reservation bounds the whole export, so the string never regrows.
+  const size_t num_snaps = snapshots_.size();
+  size_t bound = 256 + num_snaps * kSeriesValueMaxBytes;
+  for (const std::string& name : names_) {
+    bound += 2 * JsonStringSize(name) + kMetricEntryMaxBytes +
+             num_snaps * kSeriesValueMaxBytes;
+  }
   std::string out;
-  out.reserve(4096 + metrics_.size() * 128);
+  out.reserve(bound);
   out += "{\n  \"schema\": 1,\n  \"metrics\": {\n";
   for (size_t oi = 0; oi < order.size(); oi++) {
     const size_t i = order[oi];
@@ -244,55 +214,73 @@ std::string MetricsRegistry::ToJson() const {
     out += "    ";
     AppendJsonString(&out, names_[i]);
     out += ": ";
-    switch (m.kind) {
+    switch (static_cast<Kind>(m.index())) {
       case Kind::kValue:
-        AppendF(&out, "{\"type\": \"value\", \"value\": %" PRIu64 "}",
-                m.value());
+        out += "{\"type\": \"value\", \"value\": ";
+        AppendInt(&out, (*std::get_if<ValueFn>(&m))());
+        out += "}";
         break;
       case Kind::kCounter: {
-        const Counter* c = m.counter();
-        AppendF(&out,
-                "{\"type\": \"counter\", \"events\": %" PRIu64
-                ", \"bytes\": %" PRIu64 "}",
-                c->events, c->bytes);
+        const Counter* c = (*std::get_if<CounterFn>(&m))();
+        out += "{\"type\": \"counter\", \"events\": ";
+        AppendInt(&out, c->events);
+        out += ", \"bytes\": ";
+        AppendInt(&out, c->bytes);
+        out += "}";
         break;
       }
       case Kind::kStat: {
-        const StatAccumulator* s = m.stat();
+        const StatAccumulator* s = (*std::get_if<StatFn>(&m))();
+        out += "{\"type\": \"stat\", \"count\": ";
+        AppendInt(&out, s->count());
         AppendF(&out,
-                "{\"type\": \"stat\", \"count\": %" PRIu64
                 ", \"mean\": %.6g, \"stddev\": %.6g, \"min\": %.6g, "
                 "\"max\": %.6g}",
-                s->count(), s->mean(), s->stddev(), s->min(), s->max());
+                s->mean(), s->stddev(), s->min(), s->max());
         break;
       }
       case Kind::kLatency: {
-        const LatencyHistogram* h = m.latency();
-        AppendF(&out,
-                "{\"type\": \"latency\", \"count\": %" PRIu64
-                ", \"p50_ns\": %lld, \"p95_ns\": %lld, \"p99_ns\": %lld}",
-                h->count(), static_cast<long long>(h->Quantile(0.5)),
-                static_cast<long long>(h->Quantile(0.95)),
-                static_cast<long long>(h->Quantile(0.99)));
+        const LatencyHistogram* h = (*std::get_if<LatencyFn>(&m))();
+        out += "{\"type\": \"latency\", \"count\": ";
+        AppendInt(&out, h->count());
+        out += ", \"p50_ns\": ";
+        AppendInt(&out, h->Quantile(0.5));
+        out += ", \"p95_ns\": ";
+        AppendInt(&out, h->Quantile(0.95));
+        out += ", \"p99_ns\": ";
+        AppendInt(&out, h->Quantile(0.99));
+        out += "}";
         break;
       }
     }
     out += oi + 1 < order.size() ? ",\n" : "\n";
   }
   out += "  },\n  \"snapshots\": {\n    \"times_ns\": [";
-  for (size_t i = 0; i < snapshots_.size(); i++) {
-    AppendF(&out, "%s%lld", i ? ", " : "",
-            static_cast<long long>(snapshots_[i].time));
+  for (size_t s = 0; s < num_snaps; s++) {
+    if (s > 0) {
+      out += ", ";
+    }
+    AppendInt(&out, snapshots_[s].time);
   }
   out += "],\n    \"series\": {\n";
+  // Each series row is formatted with raw pointer writes and appended whole:
+  // per-value std::string appends would cost more than the digits.
+  std::vector<char> row(num_snaps * kSeriesValueMaxBytes);
+  char* const row_end = row.data() + row.size();
   for (size_t oi = 0; oi < order.size(); oi++) {
     const size_t i = order[oi];
     out += "      ";
     AppendJsonString(&out, names_[i]);
     out += ": [";
-    for (size_t s = 0; s < snapshots_.size(); s++) {
-      AppendF(&out, "%s%" PRIu64, s ? ", " : "", snapshots_[s].values[i]);
+    char* p = row.data();
+    for (size_t s = 0; s < num_snaps; s++) {
+      if (s > 0) {
+        *p++ = ',';
+        *p++ = ' ';
+      }
+      p = std::to_chars(p, row_end, snapshots_[s].values[i]).ptr;
     }
+    out.append(row.data(), static_cast<size_t>(p - row.data()));
     out += "]";
     out += oi + 1 < order.size() ? ",\n" : "\n";
   }

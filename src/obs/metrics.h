@@ -22,6 +22,8 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "src/common/slot_index.h"
@@ -121,14 +123,23 @@ class MetricsRegistry {
   std::string ToJson() const;
 
  private:
-  // One metric's getter; its name is names_ at the same index.
-  struct Metric {
-    Kind kind;
-    ValueFn value;
-    CounterFn counter;
-    StatFn stat;
-    LatencyFn latency;
-  };
+  // One metric's getter; its name is names_ at the same index, and its Kind
+  // is the alternative's index (one std::function, not one per kind).
+  using Metric = std::variant<ValueFn, CounterFn, StatFn, LatencyFn>;
+  static_assert(std::is_same_v<std::variant_alternative_t<
+                                   static_cast<size_t>(Kind::kValue), Metric>,
+                               ValueFn> &&
+                std::is_same_v<std::variant_alternative_t<
+                                   static_cast<size_t>(Kind::kCounter), Metric>,
+                               CounterFn> &&
+                std::is_same_v<std::variant_alternative_t<
+                                   static_cast<size_t>(Kind::kStat), Metric>,
+                               StatFn> &&
+                std::is_same_v<std::variant_alternative_t<
+                                   static_cast<size_t>(Kind::kLatency), Metric>,
+                               LatencyFn>,
+                "Kind must list the Metric alternatives in order");
+  static_assert(sizeof(Metric) <= 48, "one getter per metric");
 
   bool RegisterNamed(std::string name, Metric metric);
   uint64_t PrimaryValue(const Metric& m) const;

@@ -36,6 +36,73 @@ PageSet FileSet(NodeId server, uint64_t inode, uint64_t pages) {
   return PageSet{MakeFileUid(server, inode, 0), pages};
 }
 
+// Boeing CAD: replay of a synthesized page-level trace against a shared
+// database file. The original traces recorded eight engineers working on a
+// 500 MB parts database over four hours; the synthesis models an engineer's
+// session as bursts: pick a region of interest (Zipf over the database),
+// scan a contiguous run of part pages, occasionally revisit recent regions,
+// with think-time compute between bursts. The session is generated as it is
+// replayed, from its own seeded Rng, so no trace buffer (32 bytes per op) is
+// held for the run.
+class CadSessionPattern final : public AccessPattern {
+ public:
+  CadSessionPattern(PageSet db, uint64_t total_ops, uint64_t seed)
+      : db_(db),
+        remaining_(total_ops),
+        regions_(std::max<uint64_t>(db.pages / 48, 1)),
+        rng_(seed ^ 0xCAD) {}
+
+  std::optional<AccessOp> Next(Rng& rng) override {
+    (void)rng;
+    if (remaining_ == 0) {
+      return std::nullopt;
+    }
+    remaining_--;
+    if (burst_left_ == 0) {
+      StartBurst();
+    }
+    AccessOp op;
+    op.compute = Microseconds(static_cast<int64_t>(
+        30 + rng_.NextBelow(60)));  // trace replay: little compute per page
+    // A part assembly's pages are adjacent in the object graph but
+    // scattered on disk (no readahead win), like a real parts database.
+    op.uid = db_.at((base_ + burst_pos_ * 769) % db_.pages);
+    op.write = rng_.NextBool(0.04);  // occasional part updates
+    burst_pos_++;
+    burst_left_--;
+    return op;
+  }
+
+ private:
+  void StartBurst() {
+    // Engineers roam the whole database; half the bursts revisit a part
+    // assembly worked on earlier in the session (long reuse distance — the
+    // pages have usually left local memory by then).
+    uint64_t region;
+    if (!recent_.empty() && rng_.NextBool(0.72)) {
+      region = recent_[rng_.NextBelow(recent_.size())];
+    } else {
+      region = rng_.NextBelow(regions_);
+      recent_.push_back(region);
+      if (recent_.size() > 192) {
+        recent_.erase(recent_.begin());
+      }
+    }
+    base_ = (region * 48) % db_.pages;
+    burst_left_ = 4 + rng_.NextBelow(24);
+    burst_pos_ = 0;
+  }
+
+  PageSet db_;
+  uint64_t remaining_;
+  uint64_t regions_;
+  Rng rng_;
+  std::vector<uint64_t> recent_;
+  uint64_t base_ = 0;
+  uint64_t burst_pos_ = 0;
+  uint64_t burst_left_ = 0;
+};
+
 }  // namespace
 
 const char* AppName(AppKind kind) {
@@ -75,55 +142,17 @@ AppSpec MakeApp(AppKind kind, NodeId self, NodeId file_server, double scale,
   return {};
 }
 
-// Boeing CAD: replay of a synthesized page-level trace against a shared
-// database file. The original traces recorded eight engineers working on a
-// 500 MB parts database over four hours; the synthesis models an engineer's
-// session as bursts: pick a region of interest (Zipf over the database),
-// scan a contiguous run of part pages, occasionally revisit recent regions,
-// with think-time compute between bursts.
+// Boeing CAD: see CadSessionPattern.
 AppSpec MakeBoeingCad(NodeId self, NodeId file_server, double scale,
                       uint64_t seed) {
   (void)self;
   const uint64_t db_pages = Scaled(scale, 24576);  // 192 MB slice of the DB
-  const uint64_t total_ops = Scaled(scale, 320000);
-  const PageSet db = FileSet(file_server, kCadDatabaseInode, db_pages);
-
-  Rng rng(seed ^ 0xCAD);
-  const uint64_t regions = std::max<uint64_t>(db_pages / 48, 1);
-  std::vector<AccessOp> trace;
-  trace.reserve(total_ops);
-  std::vector<uint64_t> recent;
-  while (trace.size() < total_ops) {
-    // Engineers roam the whole database; half the bursts revisit a part
-    // assembly worked on earlier in the session (long reuse distance — the
-    // pages have usually left local memory by then).
-    uint64_t region;
-    if (!recent.empty() && rng.NextBool(0.72)) {
-      region = recent[rng.NextBelow(recent.size())];
-    } else {
-      region = rng.NextBelow(regions);
-      recent.push_back(region);
-      if (recent.size() > 192) {
-        recent.erase(recent.begin());
-      }
-    }
-    const uint64_t base = (region * 48) % db_pages;
-    const uint64_t burst = 4 + rng.NextBelow(24);
-    for (uint64_t i = 0; i < burst && trace.size() < total_ops; i++) {
-      AccessOp op;
-      op.compute = Microseconds(static_cast<int64_t>(
-          30 + rng.NextBelow(60)));  // trace replay: little compute per page
-      // A part assembly's pages are adjacent in the object graph but
-      // scattered on disk (no readahead win), like a real parts database.
-      op.uid = db.at((base + i * 769) % db_pages);
-      op.write = rng.NextBool(0.04);  // occasional part updates
-      trace.push_back(op);
-    }
-  }
   AppSpec spec;
   spec.name = AppName(AppKind::kBoeingCad);
   spec.footprint_pages = db_pages;
-  spec.pattern = std::make_unique<TracePattern>(std::move(trace));
+  spec.pattern = std::make_unique<CadSessionPattern>(
+      FileSet(file_server, kCadDatabaseInode, db_pages),
+      Scaled(scale, 320000), seed);
   return spec;
 }
 

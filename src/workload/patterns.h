@@ -125,7 +125,7 @@ class InterleavePattern final : public AccessPattern {
   double a_share_;
 };
 
-// Replays a pre-generated trace (the Boeing CAD model synthesizes one).
+// Replays a pre-generated trace (one read back by trace_io.h, for example).
 class TracePattern final : public AccessPattern {
  public:
   explicit TracePattern(std::vector<AccessOp> trace);

@@ -437,5 +437,55 @@ TEST(MetricsRegistryTest, ToJsonEscapesHostileMetricNames) {
   EXPECT_EQ(json.find('\t'), std::string::npos);
 }
 
+// The export's exact bytes, recorded from the printf-based serializer this
+// one replaced: every integer width up to UINT64_MAX, %.6g doubles in fixed
+// and exponent form with a negative min, an escaped name, and three
+// snapshots. Any drift here moves every downstream digest of the export.
+TEST(MetricsRegistryTest, ToJsonBytesArePinned) {
+  MetricsRegistry reg;
+  uint64_t value = 7;
+  Counter counter;
+  StatAccumulator stat;
+  LatencyHistogram hist;
+  reg.RegisterValue("q\"uote\\back\x01slash", [&] { return value; });
+  reg.RegisterCounter("net/total", [&] { return &counter; });
+  reg.RegisterStat("os/access_us", [&] { return &stat; });
+  reg.RegisterLatency("os/fault_ns", [&] { return &hist; });
+  reg.SnapshotEpoch(0);
+  value = 1234567890123;
+  counter.events = 3;
+  counter.bytes = UINT64_MAX;
+  stat.Add(-0.25);
+  stat.Add(1234567.0);
+  stat.Add(0.0001);
+  hist.Record(900);
+  hist.Record(Microseconds(250));
+  reg.SnapshotEpoch(Milliseconds(40));
+  value = UINT64_MAX;
+  hist.Record(Seconds(3));
+  reg.SnapshotEpoch(Seconds(86400));
+
+  constexpr const char* kExpected = R"json({
+  "schema": 1,
+  "metrics": {
+    "net/total": {"type": "counter", "events": 3, "bytes": 18446744073709551615},
+    "os/access_us": {"type": "stat", "count": 3, "mean": 411522, "stddev": 712778, "min": -0.25, "max": 1.23457e+06},
+    "os/fault_ns": {"type": "latency", "count": 3, "p50_ns": 245760, "p95_ns": 2952790016, "p99_ns": 2952790016},
+    "q\"uote\\back\u0001slash": {"type": "value", "value": 18446744073709551615}
+  },
+  "snapshots": {
+    "times_ns": [0, 40000000, 86400000000000],
+    "series": {
+      "net/total": [0, 3, 3],
+      "os/access_us": [0, 3, 3],
+      "os/fault_ns": [0, 2, 3],
+      "q\"uote\\back\u0001slash": [7, 1234567890123, 18446744073709551615]
+    }
+  }
+}
+)json";
+  EXPECT_EQ(reg.ToJson(), kExpected);
+}
+
 }  // namespace
 }  // namespace gms

@@ -239,5 +239,36 @@ TEST(AppModelTest2, CadUsesFileServer) {
   EXPECT_TRUE(IsShared(op->uid));
 }
 
+// FNV-1a over every op of a pattern, with the op count.
+std::pair<uint64_t, uint64_t> OpStreamDigest(AccessPattern& p) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](uint64_t v) {
+    for (int i = 0; i < 8; i++) {
+      h = (h ^ ((v >> (8 * i)) & 0xff)) * 0x100000001b3ULL;
+    }
+  };
+  Rng rng(1);
+  uint64_t ops = 0;
+  while (auto op = p.Next(rng)) {
+    mix(static_cast<uint64_t>(op->compute));
+    mix(op->uid.hi);
+    mix(op->uid.lo);
+    mix(op->write ? 1 : 0);
+    ops++;
+  }
+  return {h, ops};
+}
+
+// The paper-size CAD session (seed 5) is pinned op for op: recorded when
+// the model still materialized its whole trace before replaying it.
+TEST(AppModelTest2, CadSessionStreamIsPinned) {
+  AppSpec spec = MakeBoeingCad(NodeId{0}, NodeId{9}, 1.0, 5);
+  const auto [digest, ops] = OpStreamDigest(*spec.pattern);
+  EXPECT_EQ(ops, 320000u);
+  EXPECT_EQ(digest, 0x1c76b7d51a842427ULL) << std::hex << digest;
+  Rng rng(2);
+  EXPECT_FALSE(spec.pattern->Next(rng).has_value());  // stays finished
+}
+
 }  // namespace
 }  // namespace gms
