@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
   variants[3].name = "tight budget (no headroom)";
   variants[3].config.epoch.budget_headroom = 0.2;
 
-  const double baseline = RunVariant(nullptr, PolicyKind::kNone, s);
+  const double baseline = RunVariant(nullptr, PolicyKind::kLocalLru, s);
   TablePrinter table({"Variant", "OO7 elapsed (s)", "Speedup vs native"});
   table.AddNumericRow("native (no GMS)", {baseline, 1.0}, 2);
   for (const Variant& v : variants) {

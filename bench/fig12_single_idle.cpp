@@ -14,7 +14,8 @@ int main(int argc, char** argv) {
   BenchHeader("Figure 12: OO7 speedup vs clients sharing one idle node", s);
 
   // Baseline: a single client with no cluster memory.
-  const SingleIdleResult base = RunSingleIdleProvider(1, PolicyKind::kNone, s);
+  const SingleIdleResult base =
+      RunSingleIdleProvider(1, PolicyKind::kLocalLru, s);
 
   TablePrinter table({"Clients", "Mean OO7 speedup"});
   for (uint32_t clients = 1; clients <= 7; clients++) {

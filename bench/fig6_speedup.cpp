@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   TablePrinter table({"Workload", "0MB", "50MB", "100MB", "150MB", "200MB",
                       "250MB"});
   for (AppKind app : apps) {
-    const AppRunResult base = RunAppAlone(app, PolicyKind::kNone, 0, 8, s);
+    const AppRunResult base = RunAppAlone(app, PolicyKind::kLocalLru, 0, 8, s);
     if (!base.completed) {
       std::printf("WARNING: %s baseline did not complete\n", AppName(app));
     }

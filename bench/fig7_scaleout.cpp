@@ -145,7 +145,8 @@ int main(int argc, char** argv) {
   // thread). Point i = (groups i/2+1, policy i%2).
   auto runs = RunSweepParallel(8, SweepThreads(argc, argv), [&s](size_t i) {
     const auto groups = static_cast<uint32_t>(i / 2 + 1);
-    const PolicyKind policy = i % 2 == 0 ? PolicyKind::kNone : PolicyKind::kGms;
+    const PolicyKind policy =
+        i % 2 == 0 ? PolicyKind::kLocalLru : PolicyKind::kGms;
     return RunGroups(groups, policy, s);
   });
   std::map<AppKind, std::vector<double>> series;

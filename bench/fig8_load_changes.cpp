@@ -122,7 +122,7 @@ int main(int argc, char** argv) {
 
   // --health_out=PREFIX: each GMS point writes PREFIX_i<interval>.json.
   const std::string health_prefix = FlagString(argc, argv, "health_out");
-  const double baseline = RunWithSwaps(PolicyKind::kNone, Seconds(30), s);
+  const double baseline = RunWithSwaps(PolicyKind::kLocalLru, Seconds(30), s);
   const int intervals[] = {1, 2, 5, 10, 20, 30};
   TablePrinter table({"Swap interval (s)", "OO7 speedup"});
   for (int x : intervals) {

@@ -16,8 +16,8 @@ int main(int argc, char** argv) {
   BenchHeader("Figure 9: OO7 speedup vs idleness skew (GMS vs N-chance)", s);
 
   // No-GMS baseline (skew and idle amount are irrelevant without a policy).
-  const SkewResult base =
-      RunSkewExperiment(PolicyKind::kNone, 0.5, 1.0, /*collateral=*/false, s);
+  const SkewResult base = RunSkewExperiment(PolicyKind::kLocalLru, 0.5, 1.0,
+                                            /*collateral=*/false, s);
 
   const double skews[] = {0.25, 0.375, 0.5};
   TablePrinter table({"Skew (X% hold 100-X%)", "N-chance 1x", "N-chance 1.5x",

@@ -323,9 +323,7 @@ int main(int argc, char** argv) {
   std::vector<PolicyKind> policies;
   const std::string policies_flag = FlagString(argc, argv, "policies");
   if (policies_flag.empty()) {
-    policies = {PolicyKind::kNone,      PolicyKind::kLocalLru,
-                PolicyKind::kNchance,   PolicyKind::kHybridLfu,
-                PolicyKind::kGms,       PolicyKind::kAdaptiveGms,
+    policies = {PolicyKind::kLocalLru, PolicyKind::kNchance, PolicyKind::kGms,
                 PolicyKind::kEnsemble};
   } else {
     for (const std::string& name : SplitList(policies_flag)) {

@@ -10,10 +10,10 @@
 //   --seeds=N       seeds per loss rate (default 10)
 //   --threads=N     point-pool worker threads (default: hardware concurrency;
 //                   1 = serial). One whole serial cluster per thread.
-//   --policy=NAME   replacement policy (gms, nchance, local, lfu; default
-//                   gms). The cluster invariant checker asserts GMS protocol
-//                   state, so other policies check completion/quiescence
-//                   only.
+//   --policy=NAME   replacement policy (gms, nchance, local, ensemble;
+//                   default gms). The cluster invariant checker asserts GMS
+//                   protocol state, so other policies check
+//                   completion/quiescence only.
 #include <chrono>
 #include <cstdio>
 #include <string>

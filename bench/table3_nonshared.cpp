@@ -82,11 +82,11 @@ int main(int argc, char** argv) {
   TablePrinter table({"Access Type", "GMS", "No GMS"});
   table.AddNumericRow("Sequential Access",
                       {RunCase(PolicyKind::kGms, true, s),
-                       RunCase(PolicyKind::kNone, true, s)},
+                       RunCase(PolicyKind::kLocalLru, true, s)},
                       1);
   table.AddNumericRow("Random Access",
                       {RunCase(PolicyKind::kGms, false, s),
-                       RunCase(PolicyKind::kNone, false, s)},
+                       RunCase(PolicyKind::kLocalLru, false, s)},
                       1);
   table.Print(std::cout);
   std::printf("\nPaper: sequential 2.1 / 3.6; random 2.1 / 14.3\n");

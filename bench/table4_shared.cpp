@@ -47,12 +47,12 @@ double RunCase(Scenario scenario, bool sequential, const PaperScale& s) {
                                 static_cast<uint32_t>(file_pages) + 64};
       break;
     case Scenario::kNfsMiss:
-      config.policy = PolicyKind::kNone;
+      config.policy = PolicyKind::kLocalLru;
       config.num_nodes = 2;
       config.frames_per_node = {client_frames, 256};
       break;
     case Scenario::kNfsHit:
-      config.policy = PolicyKind::kNone;
+      config.policy = PolicyKind::kLocalLru;
       config.num_nodes = 2;
       config.frames_per_node = {client_frames,
                                 static_cast<uint32_t>(file_pages) + 64};

@@ -10,7 +10,7 @@
 //   --ring_capacity=N   per-node ring size in records (default 16384); the
 //                       ring flushes to the file when full, so smaller rings
 //                       trade write frequency for memory, never records
-//   --policy=NAME       replacement policy (gms, nchance, local, lfu, none;
+//   --policy=NAME       replacement policy (gms, nchance, local, ensemble;
 //                       default gms) — the CI policy matrix runs all of them
 //   --tiering= / --far_mem_frames= / --far_mem_lat=  attach a far-memory
 //                       tier to every node (bench_util.h ApplyTierFlags);

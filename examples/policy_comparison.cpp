@@ -1,9 +1,7 @@
 // Head-to-head policy comparison on a skewed cluster: every replacement
 // policy the registry knows, on the identical engine and workload — GMS's
-// global knowledge, N-chance's random forwarding, frequency-aware hybrid
-// LFU, the regret-weighted expert ensemble, the ghost-driven adaptive
-// MinAge variant, the engine-hosted local-LRU baseline, and no cluster
-// memory at all.
+// global knowledge, N-chance's random forwarding, the regret-weighted expert
+// ensemble, and the local-LRU baseline with no cluster memory at all.
 //
 // Two of six peers hold nearly all the idle memory (the paper's hardest
 // case for N-chance). The same OO7-style workload runs under each policy;
@@ -64,13 +62,10 @@ int main() {
     const char* name;
     PolicyKind policy;
   } policies[] = {
-      {"native (no cluster memory)", PolicyKind::kNone},
-      {"local LRU (engine baseline)", PolicyKind::kLocalLru},
+      {"local (no cluster memory)", PolicyKind::kLocalLru},
       {"N-chance forwarding", PolicyKind::kNchance},
-      {"hybrid LFU forwarding", PolicyKind::kHybridLfu},
       {"expert ensemble (learned)", PolicyKind::kEnsemble},
       {"GMS (this paper)", PolicyKind::kGms},
-      {"GMS + adaptive MinAge", PolicyKind::kAdaptiveGms},
   };
   std::printf("%-28s %10s %14s %10s %12s\n", "policy", "elapsed", "cluster hits",
               "disk", "network MB");
@@ -86,11 +81,10 @@ int main() {
   }
   std::printf("\nWith 2 of 6 peers holding the idle memory, GMS's weighted\n"
               "targeting finds it; N-chance's random forwarding mostly\n"
-              "bounces off the empty nodes (paper, Figure 9). Local LRU\n"
-              "tracks native exactly — the engine without a global cache is\n"
-              "the same baseline. The ensemble learns which pages are worth\n"
-              "the wire but still forwards blind; on THIS workload global\n"
-              "knowledge wins — run bench/policy_tournament for the\n"
-              "phase-change scenario where the learner takes the lead.\n");
+              "bounces off the empty nodes (paper, Figure 9). The ensemble\n"
+              "learns which pages are worth the wire but still forwards\n"
+              "blind; on THIS workload global knowledge wins — run\n"
+              "bench/policy_tournament for the phase-change scenario where\n"
+              "the learner takes the lead.\n");
   return 0;
 }

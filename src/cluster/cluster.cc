@@ -70,6 +70,11 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
     nodes_.push_back(std::move(rt));
     AttachDispatcher(id);
     RegisterNodeMetrics(i);
+    if (i == 0) {
+      // Every node registers node 0's families: size the registry once
+      // (plus "net/total") instead of regrowing it as the nodes come up.
+      metrics_.Reserve(metrics_.size() * config_.num_nodes + 1);
+    }
   }
   metrics_.RegisterCounter("net/total", [this] { return &net_->total_traffic(); });
   if (config_.obs.health) {
@@ -92,7 +97,6 @@ std::unique_ptr<CacheEngine> Cluster::MakeService(NodeId id,
   std::unique_ptr<ReplacementPolicy> policy;
   switch (config_.policy) {
     case PolicyKind::kGms:
-    case PolicyKind::kAdaptiveGms:
       return MakeGmsAgent(id, rt, seed);
     case PolicyKind::kNchance:
       // Retries stay disabled (the OSDI '94 baseline pre-dates the
@@ -105,17 +109,12 @@ std::unique_ptr<CacheEngine> Cluster::MakeService(NodeId id,
       policy = std::make_unique<NchancePolicy>(seed, config_.nchance);
       break;
     case PolicyKind::kLocalLru:
-    case PolicyKind::kNone:
       // The engine with no global cache ("native OSF/1"): getpage
       // short-circuits to a miss and evictions drop to disk. Shares the GMS
       // cost model so per-access CPU charges line up across policy
       // comparisons.
       engine.costs = config_.gms.costs;
       policy = std::make_unique<LocalLruPolicy>();
-      break;
-    case PolicyKind::kHybridLfu:
-      engine.costs = config_.lfu.costs;
-      policy = std::make_unique<HybridLfuPolicy>(seed, config_.lfu);
       break;
     case PolicyKind::kEnsemble:
       engine.costs = config_.ensemble.costs;
@@ -129,14 +128,9 @@ std::unique_ptr<CacheEngine> Cluster::MakeService(NodeId id,
 
 std::unique_ptr<GmsAgent> Cluster::MakeGmsAgent(NodeId id, NodeRuntime& rt,
                                                 uint64_t seed) {
-  // `adaptive` is full GMS (epochs, membership, election) with the
-  // ghost-driven adaptive-MinAge extension forced on.
-  GmsConfig gms = config_.gms;
-  if (config_.policy == PolicyKind::kAdaptiveGms) {
-    gms.adaptive.enabled = true;
-  }
   auto agent = std::make_unique<GmsAgent>(&sim_, net_.get(), rt.cpu.get(),
-                                          rt.frames.get(), id, seed, gms);
+                                          rt.frames.get(), id, seed,
+                                          config_.gms);
   rt.gms = agent.get();
   return agent;
 }

@@ -15,7 +15,6 @@
 #include "src/core/cache_engine.h"
 #include "src/core/ensemble_policy.h"
 #include "src/core/gms_agent.h"
-#include "src/core/hybrid_lfu_policy.h"
 #include "src/disk/disk.h"
 #include "src/mem/far_memory.h"
 #include "src/mem/frame_table.h"
@@ -74,7 +73,6 @@ struct ClusterConfig {
   NodeParams node;
   GmsConfig gms;
   NchanceConfig nchance;
-  HybridLfuConfig lfu;
   EnsembleConfig ensemble;
 
   NodeId master{0};
@@ -105,12 +103,12 @@ class Cluster {
   }
   FrameTable& frames(NodeId node) { return *nodes_.at(node.value)->frames; }
   NodeOs& node_os(NodeId node) { return *nodes_.at(node.value)->os; }
-  // The node's cache engine, under every policy (`none` included). Replaced
+  // The node's cache engine, under every policy (`local` included). Replaced
   // by a fresh one when a GMS node reboots, so do not hold the reference
   // across RestartNode.
   CacheEngine& service(NodeId node) { return *nodes_.at(node.value)->service; }
-  // The same engine as its GMS face; nullptr unless the policy is `gms` or
-  // `adaptive`. Other policies are reached via service(node).policy().
+  // The same engine as its GMS face; nullptr unless the policy is `gms`.
+  // Other policies are reached via service(node).policy().
   GmsAgent* gms_agent(NodeId node) { return nodes_.at(node.value)->gms; }
 
   // --- workloads ---
@@ -137,9 +135,9 @@ class Cluster {
   // --- faults/membership ---
   // Crashes a node: network down, engine stopped, memory contents lost.
   void CrashNode(NodeId node);
-  // Reboots a crashed node with empty memory. Under gms/adaptive it gets a
-  // fresh agent, which joins via the master; other policies resume their
-  // surviving engine.
+  // Reboots a crashed node with empty memory. Under gms it gets a fresh
+  // agent, which joins via the master; other policies resume their surviving
+  // engine.
   void RestartNode(NodeId node);
 
   // --- metrics ---
@@ -180,7 +178,7 @@ class Cluster {
     std::unique_ptr<FarMemoryTier> far;
     std::unique_ptr<FrameTable> frames;
     std::unique_ptr<CacheEngine> service;
-    GmsAgent* gms = nullptr;  // view into `service` under gms/adaptive
+    GmsAgent* gms = nullptr;  // view into `service` under gms
     std::unique_ptr<NodeOs> os;
   };
 

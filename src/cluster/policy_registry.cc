@@ -8,15 +8,15 @@ struct NamedPolicy {
   PolicyKind kind;
 };
 
-// Listing order is the order KnownPolicyNames() prints.
+// Listing order is the order KnownPolicyNames() prints. A kind's first entry
+// is its canonical name; "none" (the paper's "native OSF/1" runs) is an alias
+// of "local".
 constexpr NamedPolicy kPolicies[] = {
     {"gms", PolicyKind::kGms},
     {"nchance", PolicyKind::kNchance},
     {"local", PolicyKind::kLocalLru},
-    {"lfu", PolicyKind::kHybridLfu},
     {"ensemble", PolicyKind::kEnsemble},
-    {"adaptive", PolicyKind::kAdaptiveGms},
-    {"none", PolicyKind::kNone},
+    {"none", PolicyKind::kLocalLru},
 };
 
 }  // namespace

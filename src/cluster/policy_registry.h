@@ -11,18 +11,18 @@
 
 namespace gms {
 
+// The values are explicit because gtest prints a parameter's bytes into the
+// names of the parameterised ctest cases (PolicyMatrixTest,
+// ClusterPropertyTest): renumbering a kind renames every case that uses it.
 enum class PolicyKind {
-  kNone,         // native OSF/1; builds the same engine as kLocalLru
-  kGms,          // the paper's algorithm
-  kNchance,      // N-chance forwarding baseline
-  kLocalLru,     // engine-hosted no-global-cache baseline
-  kHybridLfu,    // frequency-aware forwarding (EEvA-inspired)
-  kEnsemble,     // regret-weighted expert ensemble over ghost caches
-  kAdaptiveGms,  // gms with the ghost-driven adaptive-MinAge extension
+  kGms = 1,        // the paper's algorithm
+  kNchance = 2,    // N-chance forwarding baseline
+  kLocalLru = 3,   // no global cache: the "native OSF/1" baseline
+  kEnsemble = 5,   // regret-weighted expert ensemble over ghost caches
 };
 
-// "gms" | "nchance" | "local" | "lfu" | "ensemble" | "adaptive" | "none" →
-// kind; nullopt for anything else.
+// "gms" | "nchance" | "local" | "ensemble" → kind, plus "none" as an alias of
+// "local"; nullopt for anything else.
 std::optional<PolicyKind> ParsePolicyName(std::string_view name);
 
 // The canonical name ParsePolicyName accepts for `kind`.

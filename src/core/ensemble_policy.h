@@ -30,7 +30,8 @@
 // endorsements and get forwarded — so the donors' copy of the hot set
 // survives a scan that would flood an unconditional forwarder. The LFU
 // ghost's saturating count rides in PutPage::freq so receivers can rank
-// victims, exactly like HybridLfuPolicy's sketch estimate.
+// victims: an arriving page displaces the oldest clean global page it
+// outranks.
 //
 // Steady-state allocation-free: ghosts are preallocated in OnStart, the
 // weight update is arithmetic over a fixed 3-element array, and the

@@ -40,11 +40,6 @@ class GmsAgent final : public CacheEngine {
 
   const EpochView& epoch_view() const { return policy_->epoch_view(); }
   NodeId master() const { return policy_->master(); }
-  // Adaptive-MinAge introspection (gms_policy.h): factor is pinned to 1.0
-  // and effective_min_age() == epoch_view().min_age unless the extension is
-  // enabled.
-  double adaptive_factor() const { return policy_->adaptive_factor(); }
-  SimTime effective_min_age() const { return policy_->EffectiveMinAge(); }
 
  private:
   GmsPolicy* policy_;  // owned by CacheEngine; typed view for the API above

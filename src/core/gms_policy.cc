@@ -11,12 +11,6 @@ namespace gms {
 void GmsPolicy::OnStart() {
   view_ = EpochView{};
   view_.next_initiator = first_initiator_;
-  if (config_.adaptive.enabled && adaptive_ghost_ == nullptr) {
-    const double scaled = static_cast<double>(frames_->num_frames()) *
-                          config_.adaptive.ghost_scale;
-    const uint32_t cap = scaled < 1.0 ? 1u : static_cast<uint32_t>(scaled);
-    adaptive_ghost_ = std::make_unique<GhostCache>(GhostKind::kLru, cap);
-  }
   if (first_initiator_ == self_) {
     sim_->After(config_.first_epoch_delay, [this] {
       if (alive()) {
@@ -73,7 +67,9 @@ void GmsPolicy::Join(NodeId master) {
 
 void GmsPolicy::RetryJoin() {
   join_retry_timer_ = 0;
-  if (!alive() || pod().IsLive(self_)) {
+  // A rebooted node boots on a version-0 POD that lists only itself; the join
+  // has landed once it adopted a master-issued POD that lists it.
+  if (!alive() || (pod().version() > 0 && pod().IsLive(self_))) {
     return;
   }
   if (join_attempts_ >= config_.retry.max_attempts) {
@@ -86,49 +82,6 @@ void GmsPolicy::RetryJoin() {
        JoinReq{self_});
   join_retry_timer_ = sim_->ScheduleTimer(RetryTimeoutFor(join_attempts_),
                                           [this] { RetryJoin(); });
-}
-
-// ---------------------------------------------------------------------------
-// adaptive MinAge (gated; see AdaptiveMinAgeConfig in gms_policy.h)
-// ---------------------------------------------------------------------------
-
-void GmsPolicy::OnPageFault(const Uid& uid) {
-  if (adaptive_ghost_ == nullptr) {
-    return;  // extension disabled; the engine never calls here anyway
-  }
-  adaptive_ghost_->Access(uid);
-  if (++adaptive_faults_ < config_.adaptive.update_every) {
-    return;
-  }
-  adaptive_faults_ = 0;
-  const uint64_t total = adaptive_ghost_->hits() + adaptive_ghost_->misses();
-  const double hit_rate =
-      total > 0 ? static_cast<double>(adaptive_ghost_->hits()) /
-                      static_cast<double>(total)
-                : 0.0;
-  if (hit_rate >= config_.adaptive.high_demand) {
-    // Faults that ghost_scale-times-our-memory would have absorbed: global
-    // memory is paying off, keep pages in the cluster longer.
-    adaptive_factor_ =
-        std::min(adaptive_factor_ * config_.adaptive.step,
-                 config_.adaptive.max_factor);
-  } else if (hit_rate <= config_.adaptive.low_demand) {
-    // Even a much larger memory would miss these: stop paying the wire.
-    adaptive_factor_ =
-        std::max(adaptive_factor_ / config_.adaptive.step,
-                 config_.adaptive.min_factor);
-  }
-  adaptive_ghost_->ResetCounters();
-}
-
-SimTime GmsPolicy::EffectiveMinAge() const {
-  if (!config_.adaptive.enabled || view_.min_age == 0) {
-    return view_.min_age;
-  }
-  const double scaled =
-      static_cast<double>(view_.min_age) * adaptive_factor_;
-  // Never scale a live threshold to 0 — 0 means "no epoch yet" (drop all).
-  return scaled < 1.0 ? SimTime{1} : static_cast<SimTime>(scaled);
 }
 
 // ---------------------------------------------------------------------------
@@ -148,12 +101,9 @@ void GmsPolicy::EvictClean(Frame* frame) {
   }
 
   // MinAge test (section 3.2): pages at least as old as the epoch threshold
-  // are expected to leave cluster memory this epoch — drop to disk. With the
-  // adaptive extension the threshold is the locally-scaled one; without it,
-  // EffectiveMinAge() is exactly view_.min_age.
+  // are expected to leave cluster memory this epoch — drop to disk.
   const SimTime age = EffectiveAge(*frame);
-  const SimTime min_age = EffectiveMinAge();
-  if (min_age == 0 || age >= min_age) {
+  if (view_.min_age == 0 || age >= view_.min_age) {
     stats().discards_old++;
     DiscardFrame(frame);
     return;

@@ -23,40 +23,8 @@
 #include "src/common/rng.h"
 #include "src/core/cache_engine.h"
 #include "src/core/epoch.h"
-#include "src/mem/ghost_cache.h"
 
 namespace gms {
-
-// Adaptive-MinAge extension (--policy=adaptive): the epoch plan distributes
-// one MinAge for the whole epoch, computed from everyone's age histograms —
-// it cannot react when a node's demand for cluster memory shifts mid-epoch
-// (the buffer-management survey's core complaint about epoch-granular
-// adaptivity). When enabled, the node runs an oversized LRU ghost cache over
-// its own fault stream: a ghost HIT is a fault that would have been a hit if
-// this node had `ghost_scale`x its memory — i.e. a fault global memory can
-// absorb — while a ghost MISS means even that much memory would not have
-// kept the page, so forwarding it is wasted wire. The node scales its LOCAL
-// copy of the epoch MinAge by a factor nudged multiplicatively every
-// `update_every` faults: high ghost hit-rate → raise the threshold (forward
-// more, global memory is paying off), low → lower it (drop to disk, it is
-// not). Strictly gated: with `enabled == false` no ghost exists, no fault
-// events fire, and EffectiveMinAge() IS view_.min_age — the gms goldens in
-// policy_seed_diff_test stay byte-identical.
-struct AdaptiveMinAgeConfig {
-  bool enabled = false;
-  // Ghost capacity as a multiple of the node's frame count (how much extra
-  // memory "the cluster" is imagined to offer this node).
-  double ghost_scale = 2.0;
-  // Faults between factor updates; small enough to react within an epoch.
-  uint32_t update_every = 256;
-  // Ghost hit-rate above/below which the factor steps up/down.
-  double high_demand = 0.5;
-  double low_demand = 0.1;
-  // Multiplicative step per update, clamped to [min_factor, max_factor].
-  double step = 1.25;
-  double min_factor = 0.25;
-  double max_factor = 4.0;
-};
 
 struct GmsConfig {
   CostModel costs;
@@ -88,9 +56,6 @@ struct GmsConfig {
   // dirty global page returns it to the backing node for write-back.
   bool dirty_global = false;
   uint32_t dirty_replicas = 2;
-
-  // Adaptive-MinAge variant, off by default (see above).
-  AdaptiveMinAgeConfig adaptive;
 };
 
 struct EpochView {
@@ -123,10 +88,6 @@ class GmsPolicy final : public ReplacementPolicy {
   void ApplyGcdAsOwner(const GcdUpdate& update) override;
   bool HandleMessage(const Datagram& dgram) override;
   bool Quiescent() const override { return !collecting_ && !tree_collecting_; }
-  // Fault events exist only for the adaptive ghost; plain gms keeps the
-  // fault hot path dispatch-free (the engine caches this at construction).
-  bool WantsFaultEvents() const override { return config_.adaptive.enabled; }
-  void OnPageFault(const Uid& uid) override;
 
   // A rebooted or new node announces itself to the master.
   void Join(NodeId master);
@@ -137,11 +98,6 @@ class GmsPolicy final : public ReplacementPolicy {
 
   const EpochView& epoch_view() const { return view_; }
   NodeId master() const { return master_; }
-
-  // The MinAge the eviction test actually uses: view_.min_age scaled by the
-  // adaptive factor when the extension is on, exactly view_.min_age when off.
-  SimTime EffectiveMinAge() const;
-  double adaptive_factor() const { return adaptive_factor_; }
 
  private:
   // Message handlers (engine dispatch lands here via HandleMessage).
@@ -245,11 +201,6 @@ class GmsPolicy final : public ReplacementPolicy {
   bool summaries_rerequested_ = false;
   uint64_t highest_epoch_seen_ = 0;
   TimerId stale_clear_timer_ = 0;
-
-  // Adaptive-MinAge state (null / inert unless config_.adaptive.enabled).
-  std::unique_ptr<GhostCache> adaptive_ghost_;
-  double adaptive_factor_ = 1.0;
-  uint32_t adaptive_faults_ = 0;
 
   // Heartbeat state (master side).
   uint64_t hb_seq_ = 0;

@@ -106,9 +106,9 @@ struct PutPage {
   // Dirty-global extension (paper section 6 future work): the page has not
   // been written to disk; the receiver must hold it as a dirty global page.
   bool dirty = false;
-  // Saturating access-frequency estimate of the page at eviction time
-  // (HybridLfuPolicy); receivers use it to rank victims. Zero for policies
-  // that do not track frequency.
+  // Saturating access-frequency estimate of the page at eviction time (the
+  // ensemble's LFU ghost count); receivers use it to rank victims. Zero for
+  // policies that do not track frequency.
   uint8_t freq = 0;
   // Nonzero when the sender's retry machinery is active: the receiver acks
   // the seq and discards duplicates (at-least-once -> exactly-once effect).

@@ -11,14 +11,12 @@
 //   * which extra message types the node understands,
 //   * whether the node participates in the global cache at all.
 //
-// Five policies implement the interface:
+// Four policies implement the interface:
 //   * GmsPolicy (src/core/gms_policy.h)        — the paper's epoch/MinAge
-//     algorithm with weighted eviction targeting (`gms`, and `adaptive`
-//     with the ghost-driven MinAge extension on),
+//     algorithm with weighted eviction targeting (`gms`),
 //   * NchancePolicy (src/nchance)              — N-chance forwarding,
 //   * LocalLruPolicy (src/core)                — no global cache: the
-//     "native OSF/1" baseline (`local` and `none`),
-//   * HybridLfuPolicy (src/core)               — frequency-aware forwarding,
+//     "native OSF/1" baseline (`local`, alias `none`),
 //   * EnsemblePolicy (src/core)                — regret-weighted experts.
 //
 // A policy is bound to exactly one engine for its whole life. The protected
@@ -87,9 +85,9 @@ class ReplacementPolicy {
   virtual bool UsesRemoteCache() const { return true; }
 
   // When true the engine reports every GetPage to OnPageFault before issuing
-  // it (frequency bookkeeping for LFU-style policies). A flag rather than an
-  // unconditional virtual call keeps the fault hot path free of dispatch for
-  // the policies that do not care.
+  // it (the ensemble's ghost bookkeeping). A flag rather than an unconditional
+  // virtual call keeps the fault hot path free of dispatch for the policies
+  // that do not care.
   virtual bool WantsFaultEvents() const { return false; }
   virtual void OnPageFault(const Uid& uid) { (void)uid; }
 

@@ -2,10 +2,8 @@
 // page data — only UIDs and replacement metadata. The expert-ensemble policy
 // (src/core/ensemble_policy.h) runs one ghost per expert (LRU, LFU, MRU) on
 // the node's observed fault stream and learns which expert's replacement
-// rule predicts re-reference best; the adaptive-MinAge extension runs a
-// single oversized LRU ghost to measure how many faults extra memory would
-// have absorbed. The far-memory tier (far_memory.h) keeps its residency in
-// an LRU ghost too.
+// rule predicts re-reference best. The far-memory tier (far_memory.h) keeps
+// its residency in an LRU ghost too.
 //
 // Semantics are pinned exactly (tests/ghost_cache_test.cc holds the hit/miss
 // sequence bit-identical to a naive reference simulator, including capacity
@@ -82,7 +80,6 @@ class GhostCache {
   uint32_t size() const { return size_; }
   uint64_t hits() const { return hits_; }
   uint64_t misses() const { return misses_; }
-  void ResetCounters() { hits_ = misses_ = 0; }
 
  private:
   static constexpr uint32_t kNull = UINT32_MAX;

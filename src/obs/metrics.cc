@@ -97,6 +97,12 @@ bool MetricsRegistry::RegisterNamed(std::string name, Metric metric) {
   return true;
 }
 
+void MetricsRegistry::Reserve(size_t n) {
+  metrics_.reserve(n);
+  names_.reserve(n);
+  index_.Reserve(n, names_.data());
+}
+
 bool MetricsRegistry::RegisterValue(std::string name, ValueFn fn) {
   return RegisterNamed(std::move(name), Metric(std::move(fn)));
 }

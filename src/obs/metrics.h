@@ -85,6 +85,9 @@ class MetricsRegistry {
   bool RegisterCounter(std::string name, CounterFn fn);
   bool RegisterStat(std::string name, StatFn fn);
   bool RegisterLatency(std::string name, LatencyFn fn);
+  // Sizes the registry for `n` metrics in all, so registering up to that
+  // many regrows no column and never rehashes the name index.
+  void Reserve(size_t n);
 
   size_t size() const { return metrics_.size(); }
   const std::vector<std::string>& names() const { return names_; }

@@ -28,9 +28,9 @@
 #include "src/core/directory.h"
 #include "src/core/ensemble_policy.h"
 #include "src/mem/ghost_cache.h"
-#include "src/core/hybrid_lfu_policy.h"
 #include "src/core/messages.h"
 #include "src/mem/frame_table.h"
+#include "src/nchance/nchance_policy.h"
 #include "src/net/network.h"
 #include "src/obs/health.h"
 #include "src/obs/metrics.h"
@@ -353,7 +353,8 @@ TEST(AllocTest, EngineDispatchIsAllocationFreeAtSteadyState) {
   Cpu cpu(&sim);
   FrameTable frames(16);
   CacheEngine engine(&sim, &net, &cpu, &frames, NodeId{1}, EngineConfig{},
-                     std::make_unique<HybridLfuPolicy>(/*seed=*/1));
+                     std::make_unique<NchancePolicy>(/*seed=*/1,
+                                                     NchanceConfig{}));
   engine.Start(std::make_shared<const PodTable>(
       Pod::Build(1, {NodeId{0}, NodeId{1}})));
   net.Attach(NodeId{1},
@@ -431,8 +432,8 @@ TEST(AllocTest, FrameTableChurnIsAllocationFree) {
 }
 
 TEST(AllocTest, GhostCacheAccessNeverAllocates) {
-  // Ghosts sit directly on the fault hot path of the ensemble and adaptive
-  // policies: after construction, Access/Contains/Frequency/set_capacity
+  // Ghosts sit directly on the fault hot path of the ensemble policy: after
+  // construction, Access/Contains/Frequency/set_capacity
   // must never touch the allocator — thrashing, hits, and mid-trace resizes
   // included.
   GhostCache lru(GhostKind::kLru, 256);

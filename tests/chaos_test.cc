@@ -253,6 +253,48 @@ TEST(ChaosMembershipTest, CrashAndRejoinUnderLoss) {
   EXPECT_EQ(cluster->totals().accesses, 9000u + 7000u);
 }
 
+// A rebooted node whose JoinReq is lost must keep asking. Node 2 restarts on
+// the far side of a scripted partition from the master, so its first JoinReq
+// (and the first retry) is dropped; the bounded join retry lands once the
+// partition heals, and the node ends up live in every node's POD.
+TEST(ChaosMembershipTest, JoinRetriedAcrossPartitionToMaster) {
+  ClusterConfig config;
+  config.num_nodes = 3;
+  config.policy = PolicyKind::kGms;
+  config.frames = 256;
+  config.seed = 3;
+  config.gms.retry.enabled = true;
+  auto cluster = std::make_unique<Cluster>(config);
+  cluster->Start();
+  cluster->sim().RunFor(Milliseconds(100));
+  cluster->CrashNode(NodeId{2});
+  cluster->sim().RunFor(Milliseconds(50));
+
+  // Join retries back off 10 ms, then 20 ms: a 25 ms partition swallows the
+  // JoinReq and the first retry, and heals before the second.
+  const SimTime cut = cluster->sim().now() + Milliseconds(1);
+  cluster->net().SchedulePartition(cut, Milliseconds(25), {NodeId{2}});
+  cluster->sim().RunFor(Milliseconds(2));
+  cluster->RestartNode(NodeId{2});
+  cluster->sim().RunFor(Milliseconds(20));
+  ASSERT_TRUE(cluster->net().Partitioned(NodeId{2}, NodeId{0}));
+  EXPECT_EQ(cluster->gms_agent(NodeId{2})->pod().version(), 0u)
+      << "node 2 adopted a POD through the partition";
+
+  ASSERT_TRUE(cluster->RunUntilQuiescent(Seconds(10)));
+  EXPECT_GT(cluster->net().fault_stats().drops_partition.events, 0u);
+  EXPECT_GT(cluster->service(NodeId{2}).stats().control_retries, 0u);
+  EXPECT_EQ(cluster->service(NodeId{2}).stats().control_give_ups, 0u);
+  const uint64_t version = cluster->gms_agent(NodeId{0})->pod().version();
+  for (uint32_t i = 0; i < 3; i++) {
+    const Pod& pod = cluster->gms_agent(NodeId{i})->pod();
+    EXPECT_TRUE(pod.IsLive(NodeId{2})) << "node " << i;
+    EXPECT_EQ(pod.version(), version) << "node " << i;
+  }
+  InvariantReport report = ClusterInvariantChecker::Check(*cluster);
+  EXPECT_TRUE(report.ok()) << report.ToString();
+}
+
 // An interior aggregator crashing takes its whole subtree's partial down
 // with it: its children's relayed requests are orphaned and its own merged
 // partial never reaches the root. The root's straggler timeout plus the flat

@@ -89,8 +89,7 @@ TEST_P(ClusterPropertyTest, GlobalPagesHaveSingleCopy) {
 }
 
 TEST_P(ClusterPropertyTest, DirectoryPointsAtRealHolders) {
-  if (GetParam().policy == PolicyKind::kNone ||
-      GetParam().policy == PolicyKind::kLocalLru) {
+  if (GetParam().policy == PolicyKind::kLocalLru) {
     GTEST_SKIP() << "no directory registrations without a global cache";
   }
   auto cluster = RunMixedCluster(GetParam().seed, GetParam().policy);
@@ -175,22 +174,15 @@ INSTANTIATE_TEST_SUITE_P(
         PropertyCase{.policy = PolicyKind::kNchance, .seed = 1},
         PropertyCase{.policy = PolicyKind::kNchance, .seed = 7},
         PropertyCase{.policy = PolicyKind::kLocalLru, .seed = 1},
-        PropertyCase{.policy = PolicyKind::kHybridLfu, .seed = 1},
-        PropertyCase{.policy = PolicyKind::kHybridLfu, .seed = 7},
         PropertyCase{.policy = PolicyKind::kEnsemble, .seed = 1},
-        PropertyCase{.policy = PolicyKind::kEnsemble, .seed = 7},
-        PropertyCase{.policy = PolicyKind::kAdaptiveGms, .seed = 1},
-        PropertyCase{.policy = PolicyKind::kNone, .seed = 1}),
+        PropertyCase{.policy = PolicyKind::kEnsemble, .seed = 7}),
     [](const auto& info) {
       std::string name;
       switch (info.param.policy) {
         case PolicyKind::kGms: name = "Gms"; break;
         case PolicyKind::kNchance: name = "Nchance"; break;
         case PolicyKind::kLocalLru: name = "Local"; break;
-        case PolicyKind::kHybridLfu: name = "Lfu"; break;
         case PolicyKind::kEnsemble: name = "Ensemble"; break;
-        case PolicyKind::kAdaptiveGms: name = "Adaptive"; break;
-        case PolicyKind::kNone: name = "None"; break;
       }
       return name + "Seed" + std::to_string(info.param.seed);
     });

@@ -3,9 +3,7 @@
 //   * on a synthetic workload with one clearly-best expert the weights
 //     concentrate on it (and re-concentrate after a phase change),
 //   * the ensemble's cumulative expected loss respects the Hedge bound
-//     (eta * L_best + ln K) / (1 - e^-eta) on arbitrary random streams,
-//   * the adaptive-MinAge extension moves its factor off 1.0 under a
-//     cluster workload while plain gms never does.
+//     (eta * L_best + ln K) / (1 - e^-eta) on arbitrary random streams.
 //
 // The learning machinery (OnPageFault) touches only ghosts and weights, so
 // most tests drive a bare EnsemblePolicy with an explicit ghost_capacity —
@@ -222,43 +220,6 @@ TEST(EnsemblePolicyTest, EnsembleClusterServesRemoteHitsAndQuiesces) {
   const Cluster::Totals t = cluster.totals();
   EXPECT_GT(t.getpage_hits, 0u);
   EXPECT_GT(cluster.service(NodeId{0}).stats().putpages_sent, 0u);
-}
-
-TEST(AdaptiveMinAgeTest, FactorMovesUnderLoadAndStaysPinnedWhenDisabled) {
-  // Same overflow cluster twice: plain gms must keep factor == 1.0 and
-  // effective_min_age == the epoch MinAge (the golden-preservation
-  // contract); the adaptive variant must move its factor off 1.0 — node 0
-  // thrashes well beyond 2x its memory, so the ghost signal is strong.
-  for (const bool adaptive : {false, true}) {
-    ClusterConfig config;
-    config.num_nodes = 3;
-    config.policy = adaptive ? PolicyKind::kAdaptiveGms : PolicyKind::kGms;
-    config.frames_per_node = {64, 512, 512};
-    config.frames = 64;
-    config.seed = 9;
-    config.gms.adaptive.update_every = 64;   // react within this short run
-    config.gms.adaptive.high_demand = 0.35;  // uniform-256 over a 128 ghost
-                                             // hovers near 0.5; keep margin
-    Cluster cluster(config);
-    cluster.Start();
-    const uint64_t footprint = 256;
-    cluster.AddWorkload(NodeId{0},
-                        std::make_unique<UniformRandomPattern>(
-                            PageSet{MakeAnonUid(NodeId{0}, 1, 0), footprint},
-                            footprint * 8, Microseconds(30), 0.0),
-                        "overflow");
-    cluster.StartWorkloads();
-    ASSERT_TRUE(cluster.RunUntilWorkloadsDone(Seconds(120)));
-    GmsAgent* agent = cluster.gms_agent(NodeId{0});
-    ASSERT_NE(agent, nullptr);
-    if (adaptive) {
-      EXPECT_NE(agent->adaptive_factor(), 1.0)
-          << "ghost signal never moved the factor";
-    } else {
-      EXPECT_EQ(agent->adaptive_factor(), 1.0);
-      EXPECT_EQ(agent->effective_min_age(), agent->epoch_view().min_age);
-    }
-  }
 }
 
 }  // namespace

@@ -58,7 +58,7 @@ TEST(IntegrationTest, GmsUsesIdleMemoryAndAvoidsDisk) {
 }
 
 TEST(IntegrationTest, NoGmsGoesToDiskEveryMiss) {
-  auto config = SmallConfig(PolicyKind::kNone, 2, 256);
+  auto config = SmallConfig(PolicyKind::kLocalLru, 2, 256);
   Cluster cluster(config);
   cluster.Start();
   auto& w = cluster.AddWorkload(NodeId{0}, FileThrash(NodeId{0}, 512, 5000),
@@ -73,8 +73,8 @@ TEST(IntegrationTest, NoGmsGoesToDiskEveryMiss) {
 TEST(IntegrationTest, GmsOutperformsNativePaging) {
   SimTime elapsed[2];
   for (int run = 0; run < 2; run++) {
-    auto config = SmallConfig(run == 0 ? PolicyKind::kNone : PolicyKind::kGms,
-                              2, 256);
+    auto config = SmallConfig(
+        run == 0 ? PolicyKind::kLocalLru : PolicyKind::kGms, 2, 256);
     config.frames_per_node = {256, 1024};
     Cluster cluster(config);
     cluster.Start();

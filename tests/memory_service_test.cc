@@ -27,7 +27,7 @@ class NullMemoryServiceTest : public ::testing::Test {
   static ClusterConfig NoneConfig() {
     ClusterConfig config;
     config.num_nodes = 1;
-    config.policy = PolicyKind::kNone;
+    config.policy = PolicyKind::kLocalLru;
     config.frames = 8;
     return config;
   }

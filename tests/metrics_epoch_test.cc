@@ -99,6 +99,15 @@ TEST(MetricsEpochTest, SnapshotsOffByDefault) {
   EXPECT_TRUE(cluster->metrics().snapshots().empty());
 }
 
+// The cluster sizes its registry from node 0's families before the other
+// nodes register theirs: construction ends with the columns exactly full.
+TEST(MetricsEpochTest, RegistryIsSizedOnceAtConstruction) {
+  ClusterConfig config;
+  config.num_nodes = 16;
+  Cluster cluster(config);
+  EXPECT_EQ(cluster.metrics().names().capacity(), cluster.metrics().size());
+}
+
 // A reboot tears down the node's CacheEngine and builds a fresh GmsAgent;
 // the registry's getters must follow the replacement rather than read (or
 // dangle on) the dead object.

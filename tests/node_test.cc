@@ -42,7 +42,7 @@ class NodeOsTest : public ::testing::Test {
 };
 
 TEST_F(NodeOsTest, FirstTouchOfAnonymousPageIsZeroFill) {
-  Build(PolicyKind::kNone, {64});
+  Build(PolicyKind::kLocalLru, {64});
   const SimTime latency = Access(0, MakeAnonUid(NodeId{0}, 1, 0));
   // No disk read: only trap overhead, far below a disk access.
   EXPECT_LT(latency, Milliseconds(1));
@@ -50,14 +50,14 @@ TEST_F(NodeOsTest, FirstTouchOfAnonymousPageIsZeroFill) {
 }
 
 TEST_F(NodeOsTest, FileBackedFaultReadsDisk) {
-  Build(PolicyKind::kNone, {64});
+  Build(PolicyKind::kLocalLru, {64});
   const SimTime latency = Access(0, MakeFileUid(NodeId{0}, 5, 0));
   EXPECT_GT(latency, Milliseconds(3));
   EXPECT_EQ(cluster_->node_os(NodeId{0}).stats().disk_reads, 1u);
 }
 
 TEST_F(NodeOsTest, HitIsThreeOrdersFasterThanDisk) {
-  Build(PolicyKind::kNone, {64});
+  Build(PolicyKind::kLocalLru, {64});
   const Uid uid = MakeFileUid(NodeId{0}, 5, 0);
   const SimTime miss = Access(0, uid);
   const SimTime hit = Access(0, uid);
@@ -66,7 +66,7 @@ TEST_F(NodeOsTest, HitIsThreeOrdersFasterThanDisk) {
 }
 
 TEST_F(NodeOsTest, WriteMarksDirtyAndWriteBackCleans) {
-  Build(PolicyKind::kNone, {64});
+  Build(PolicyKind::kLocalLru, {64});
   const Uid uid = MakeAnonUid(NodeId{0}, 1, 0);
   Access(0, uid, /*write=*/true);
   EXPECT_TRUE(cluster_->frames(NodeId{0}).Lookup(uid)->dirty());
@@ -79,7 +79,7 @@ TEST_F(NodeOsTest, WriteMarksDirtyAndWriteBackCleans) {
 }
 
 TEST_F(NodeOsTest, WrittenBackAnonymousPageReloadsFromSwap) {
-  Build(PolicyKind::kNone, {64});
+  Build(PolicyKind::kLocalLru, {64});
   const Uid uid = MakeAnonUid(NodeId{0}, 1, 0);
   Access(0, uid, /*write=*/true);
   // Push it out of memory.
@@ -96,7 +96,7 @@ TEST_F(NodeOsTest, WrittenBackAnonymousPageReloadsFromSwap) {
 }
 
 TEST_F(NodeOsTest, PageoutKeepsFreeListAboveWatermark) {
-  Build(PolicyKind::kNone, {128});
+  Build(PolicyKind::kLocalLru, {128});
   for (uint32_t i = 0; i < 1000; i++) {
     Access(0, MakeAnonUid(NodeId{0}, 1, i));
   }
@@ -106,7 +106,7 @@ TEST_F(NodeOsTest, PageoutKeepsFreeListAboveWatermark) {
 }
 
 TEST_F(NodeOsTest, NfsReadFromRemoteServer) {
-  Build(PolicyKind::kNone, {64, 256});
+  Build(PolicyKind::kLocalLru, {64, 256});
   const Uid uid = MakeFileUid(NodeId{1}, 9, 3);
   const SimTime latency = Access(0, uid);
   const auto& client = cluster_->node_os(NodeId{0}).stats();
@@ -120,7 +120,7 @@ TEST_F(NodeOsTest, NfsReadFromRemoteServer) {
 }
 
 TEST_F(NodeOsTest, NfsServerCacheHitIsFast) {
-  Build(PolicyKind::kNone, {64, 256});
+  Build(PolicyKind::kLocalLru, {64, 256});
   const Uid uid = MakeFileUid(NodeId{1}, 9, 3);
   Access(1, uid);  // server warms its own cache
   const SimTime latency = Access(0, uid);
@@ -131,14 +131,14 @@ TEST_F(NodeOsTest, NfsServerCacheHitIsFast) {
 }
 
 TEST_F(NodeOsTest, NfsTimeoutWhenServerDown) {
-  Build(PolicyKind::kNone, {64, 256});
+  Build(PolicyKind::kLocalLru, {64, 256});
   cluster_->CrashNode(NodeId{1});
   Access(0, MakeFileUid(NodeId{1}, 9, 3));
   EXPECT_EQ(cluster_->node_os(NodeId{0}).stats().nfs_timeouts, 1u);
 }
 
 TEST_F(NodeOsTest, ConcurrentAccessesToFaultingPageCoalesce) {
-  Build(PolicyKind::kNone, {64});
+  Build(PolicyKind::kLocalLru, {64});
   const Uid uid = MakeFileUid(NodeId{0}, 5, 0);
   int completions = 0;
   for (int i = 0; i < 3; i++) {
@@ -166,7 +166,7 @@ TEST_F(NodeOsTest, PromoteOnWriteSendsCleanedPageToGlobalMemory) {
 }
 
 TEST_F(NodeOsTest, AccessStatsAccumulate) {
-  Build(PolicyKind::kNone, {64});
+  Build(PolicyKind::kLocalLru, {64});
   Access(0, MakeFileUid(NodeId{0}, 5, 0));
   Access(0, MakeFileUid(NodeId{0}, 5, 0));
   Access(0, MakeFileUid(NodeId{0}, 5, 1));

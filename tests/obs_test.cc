@@ -335,6 +335,21 @@ TEST(MetricsRegistryTest, ManyMetricsKeepIndicesAndNames) {
   EXPECT_EQ(reg.IndexOf("node2000/os/faults"), MetricsRegistry::kInvalidIndex);
 }
 
+TEST(MetricsRegistryTest, ReserveSizesTheRegistryOnce) {
+  MetricsRegistry reg;
+  constexpr size_t kMetrics = 3000;
+  reg.Reserve(kMetrics);
+  const std::string* names = reg.names().data();
+  for (size_t i = 0; i < kMetrics; i++) {
+    ASSERT_TRUE(reg.RegisterValue("m" + std::to_string(i), [i] { return i; }));
+  }
+  // No regrowth moved the name column; every name still resolves.
+  EXPECT_EQ(reg.names().data(), names);
+  for (size_t i = 0; i < kMetrics; i += 101) {
+    EXPECT_EQ(reg.IndexOf("m" + std::to_string(i)), i);
+  }
+}
+
 TEST(MetricsRegistryTest, SnapshotSeriesTracksCumulativeValues) {
   MetricsRegistry reg;
   uint64_t v = 0;
