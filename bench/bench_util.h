@@ -200,10 +200,12 @@ inline void ApplyTierFlags(int argc, char** argv, ClusterConfig* config) {
   ParseTierFlags(argc, argv, &config->far);
 }
 
+// Below scale 1 the header says how to get paper-sized runs.
 inline void BenchHeader(const std::string& title, const PaperScale& s) {
   std::printf("=== %s ===\n", title.c_str());
-  std::printf("(scale=%.3g seed=%llu; pass --scale=1 for paper-sized runs)\n\n",
-              s.scale, static_cast<unsigned long long>(s.seed));
+  std::printf("(scale=%.3g seed=%llu%s)\n\n", s.scale,
+              static_cast<unsigned long long>(s.seed),
+              s.scale < 1 ? "; pass --scale=1 for paper-sized runs" : "");
 }
 
 // Every bench accepts --trace_out=, --metrics_out= and --health_out=: the

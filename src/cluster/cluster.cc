@@ -1,7 +1,9 @@
 #include "src/cluster/cluster.h"
 
 #include <cassert>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "src/core/local_lru_policy.h"
 #include "src/core/messages.h"
@@ -36,6 +38,8 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
   for (uint32_t i = 0; i < config_.num_nodes; i++) {
     const NodeId id{i};
     auto rt = std::make_unique<NodeRuntime>();
+    rt->net = net_.get();
+    rt->id = id;
     rt->cpu = std::make_unique<Cpu>(&sim_);
     rt->disk = std::make_unique<Disk>(&sim_, config_.disk);
     rt->disk->set_tracer(tracer_.get(), id);
@@ -67,14 +71,11 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
     if (rt->far != nullptr) {
       rt->os->AddBackingTier(rt->far.get());
     }
+    const bool with_far = rt->far != nullptr;
     nodes_.push_back(std::move(rt));
     AttachDispatcher(id);
-    RegisterNodeMetrics(i);
-    if (i == 0) {
-      // Every node registers node 0's families: size the registry once
-      // (plus "net/total") instead of regrowing it as the nodes come up.
-      metrics_.Reserve(metrics_.size() * config_.num_nodes + 1);
-    }
+    metrics_.RegisterFamily("node" + std::to_string(i) + "/",
+                            NodeMetricSchema(with_far), nodes_.back().get());
   }
   metrics_.RegisterCounter("net/total", [this] { return &net_->total_traffic(); });
   if (config_.obs.health) {
@@ -147,98 +148,108 @@ void Cluster::InstallService(NodeRuntime& rt,
   }
 }
 
-void Cluster::RegisterNodeMetrics(uint32_t i) {
-  // Getter-based registration: lambdas re-read through nodes_[i] on every
-  // snapshot, so a rebooted node's fresh service is picked up transparently
-  // and ResetStats() shows through as a value drop.
-  const std::string p = "node" + std::to_string(i) + "/";
-  const NodeRuntime* rt = nodes_[i].get();
-  auto os = [rt]() { return &rt->os->stats(); };
-  metrics_.RegisterValue(p + "os/accesses", [os] { return os()->accesses; });
-  metrics_.RegisterValue(p + "os/local_hits", [os] { return os()->local_hits; });
-  metrics_.RegisterValue(p + "os/faults", [os] { return os()->faults; });
-  metrics_.RegisterValue(p + "os/disk_reads", [os] { return os()->disk_reads; });
-  metrics_.RegisterValue(p + "os/disk_writes", [os] { return os()->disk_writes; });
-  metrics_.RegisterValue(p + "os/nfs_reads", [os] { return os()->nfs_reads; });
-  metrics_.RegisterValue(p + "os/nfs_served", [os] { return os()->nfs_served; });
-  metrics_.RegisterStat(p + "os/access_us", [os] { return &os()->access_us; });
-  metrics_.RegisterStat(p + "os/fault_us", [os] { return &os()->fault_us; });
-  metrics_.RegisterLatency(p + "os/access_ns", [os] { return &os()->access_ns; });
-  metrics_.RegisterLatency(p + "os/fault_ns", [os] { return &os()->fault_ns; });
-
-  auto svc = [rt]() { return &rt->service->stats(); };
-  metrics_.RegisterValue(p + "svc/getpage_attempts",
-                         [svc] { return svc()->getpage_attempts; });
-  metrics_.RegisterValue(p + "svc/getpage_hits",
-                         [svc] { return svc()->getpage_hits; });
-  metrics_.RegisterValue(p + "svc/getpage_misses",
-                         [svc] { return svc()->getpage_misses; });
-  metrics_.RegisterValue(p + "svc/getpage_timeouts",
-                         [svc] { return svc()->getpage_timeouts; });
-  metrics_.RegisterValue(p + "svc/putpages_sent",
-                         [svc] { return svc()->putpages_sent; });
-  metrics_.RegisterValue(p + "svc/putpages_received",
-                         [svc] { return svc()->putpages_received; });
-  metrics_.RegisterValue(p + "svc/discards_old",
-                         [svc] { return svc()->discards_old; });
-  metrics_.RegisterValue(p + "svc/epochs_started",
-                         [svc] { return svc()->epochs_started; });
-  metrics_.RegisterValue(p + "svc/epoch_partials_sent",
-                         [svc] { return svc()->epoch_partials_sent; });
-  metrics_.RegisterValue(p + "svc/epoch_partials_merged",
-                         [svc] { return svc()->epoch_partials_merged; });
-  metrics_.RegisterValue(p + "svc/epoch_root_summary_msgs",
-                         [svc] { return svc()->epoch_root_summary_msgs; });
-  metrics_.RegisterValue(p + "svc/getpage_retries",
-                         [svc] { return svc()->getpage_retries; });
-  metrics_.RegisterValue(p + "svc/control_retries",
-                         [svc] { return svc()->control_retries; });
-  metrics_.RegisterValue(p + "svc/duplicate_msgs_dropped",
-                         [svc] { return svc()->duplicate_msgs_dropped; });
-  // The node's adopted epoch number (0 for non-GMS policies): the health
-  // monitor's staleness detector watches its derivative.
-  metrics_.RegisterValue(p + "svc/epoch", [rt] {
-    return rt->gms != nullptr ? rt->gms->epoch_view().epoch : 0;
-  });
-  metrics_.RegisterLatency(p + "svc/getpage_hit_ns",
-                           [svc] { return &svc()->getpage_hit_ns; });
-  metrics_.RegisterLatency(p + "svc/getpage_miss_ns",
-                           [svc] { return &svc()->getpage_miss_ns; });
-  metrics_.RegisterValue(p + "svc/fills_zero",
-                         [svc] { return svc()->fills_zero; });
-  metrics_.RegisterValue(p + "svc/fills_far",
-                         [svc] { return svc()->fills_far; });
-  metrics_.RegisterValue(p + "svc/fills_disk",
-                         [svc] { return svc()->fills_disk; });
-  metrics_.RegisterValue(p + "svc/fills_nfs",
-                         [svc] { return svc()->fills_nfs; });
-  metrics_.RegisterValue(p + "svc/demotions_far",
-                         [svc] { return svc()->demotions_far; });
-  metrics_.RegisterValue(p + "svc/far_promotions",
-                         [svc] { return svc()->far_promotions; });
-
-  auto disk = [rt]() { return &rt->disk->stats(); };
-  metrics_.RegisterValue(p + "disk/reads", [disk] { return disk()->reads; });
-  metrics_.RegisterValue(p + "disk/writes", [disk] { return disk()->writes; });
-  metrics_.RegisterStat(p + "disk/read_latency_us",
-                        [disk] { return &disk()->read_latency; });
-
-  if (rt->far != nullptr) {
-    auto far = [rt]() { return &rt->far->stats(); };
-    metrics_.RegisterValue(p + "far/reads", [far] { return far()->reads; });
-    metrics_.RegisterValue(p + "far/writes", [far] { return far()->writes; });
-    metrics_.RegisterValue(p + "far/evictions",
-                           [far] { return far()->evictions; });
-    metrics_.RegisterValue(p + "far/resident",
-                           [rt] { return rt->far->resident_pages(); });
-    metrics_.RegisterStat(p + "far/read_latency_us",
-                          [far] { return &far()->read_latency; });
-  }
-
-  Network* net = net_.get();
-  const NodeId id{i};
-  metrics_.RegisterCounter(p + "net/tx", [net, id] { return &net->node_tx(id); });
-  metrics_.RegisterCounter(p + "net/rx", [net, id] { return &net->node_rx(id); });
+const MetricSchema& Cluster::NodeMetricSchema(bool with_far) {
+  // Every reader goes through the node's runtime on each read, so a
+  // rebooted node's fresh service is picked up and ResetStats() shows
+  // through as a value drop.
+  static constexpr auto rt = [](const void* ctx) -> const NodeRuntime& {
+    return *static_cast<const NodeRuntime*>(ctx);
+  };
+  static constexpr auto os = [](const void* c) -> const NodeOsStats& {
+    return rt(c).os->stats();
+  };
+  static constexpr auto svc = [](const void* c) -> const MemoryServiceStats& {
+    return rt(c).service->stats();
+  };
+  static constexpr auto disk = [](const void* c) -> const Disk::Stats& {
+    return rt(c).disk->stats();
+  };
+  static constexpr auto far = [](const void* c) -> const FarMemoryTier& {
+    return *rt(c).far;
+  };
+  using F = MetricField;
+  static const std::vector<MetricField> kFields = {
+      F("os/accesses", [](const void* c) { return os(c).accesses; }),
+      F("os/local_hits", [](const void* c) { return os(c).local_hits; }),
+      F("os/faults", [](const void* c) { return os(c).faults; }),
+      F("os/disk_reads", [](const void* c) { return os(c).disk_reads; }),
+      F("os/disk_writes", [](const void* c) { return os(c).disk_writes; }),
+      F("os/nfs_reads", [](const void* c) { return os(c).nfs_reads; }),
+      F("os/nfs_served", [](const void* c) { return os(c).nfs_served; }),
+      F("os/access_us", [](const void* c) { return &os(c).access_us; }),
+      F("os/fault_us", [](const void* c) { return &os(c).fault_us; }),
+      F("os/access_ns", [](const void* c) { return &os(c).access_ns; }),
+      F("os/fault_ns", [](const void* c) { return &os(c).fault_ns; }),
+      F("svc/getpage_attempts",
+        [](const void* c) { return svc(c).getpage_attempts; }),
+      F("svc/getpage_hits", [](const void* c) { return svc(c).getpage_hits; }),
+      F("svc/getpage_misses",
+        [](const void* c) { return svc(c).getpage_misses; }),
+      F("svc/getpage_timeouts",
+        [](const void* c) { return svc(c).getpage_timeouts; }),
+      F("svc/putpages_sent",
+        [](const void* c) { return svc(c).putpages_sent; }),
+      F("svc/putpages_received",
+        [](const void* c) { return svc(c).putpages_received; }),
+      F("svc/discards_old", [](const void* c) { return svc(c).discards_old; }),
+      F("svc/epochs_started",
+        [](const void* c) { return svc(c).epochs_started; }),
+      F("svc/epoch_partials_sent",
+        [](const void* c) { return svc(c).epoch_partials_sent; }),
+      F("svc/epoch_partials_merged",
+        [](const void* c) { return svc(c).epoch_partials_merged; }),
+      F("svc/epoch_root_summary_msgs",
+        [](const void* c) { return svc(c).epoch_root_summary_msgs; }),
+      F("svc/getpage_retries",
+        [](const void* c) { return svc(c).getpage_retries; }),
+      F("svc/control_retries",
+        [](const void* c) { return svc(c).control_retries; }),
+      F("svc/duplicate_msgs_dropped",
+        [](const void* c) { return svc(c).duplicate_msgs_dropped; }),
+      // The node's adopted epoch number (0 for non-GMS policies): the health
+      // monitor's staleness detector watches its derivative.
+      F("svc/epoch",
+        [](const void* c) -> uint64_t {
+          const GmsAgent* gms = rt(c).gms;
+          return gms != nullptr ? gms->epoch_view().epoch : 0;
+        }),
+      F("svc/getpage_hit_ns",
+        [](const void* c) { return &svc(c).getpage_hit_ns; }),
+      F("svc/getpage_miss_ns",
+        [](const void* c) { return &svc(c).getpage_miss_ns; }),
+      F("svc/fills_zero", [](const void* c) { return svc(c).fills_zero; }),
+      F("svc/fills_far", [](const void* c) { return svc(c).fills_far; }),
+      F("svc/fills_disk", [](const void* c) { return svc(c).fills_disk; }),
+      F("svc/fills_nfs", [](const void* c) { return svc(c).fills_nfs; }),
+      F("svc/demotions_far",
+        [](const void* c) { return svc(c).demotions_far; }),
+      F("svc/far_promotions",
+        [](const void* c) { return svc(c).far_promotions; }),
+      F("disk/reads", [](const void* c) { return disk(c).reads; }),
+      F("disk/writes", [](const void* c) { return disk(c).writes; }),
+      F("disk/read_latency_us",
+        [](const void* c) { return &disk(c).read_latency; }),
+      F("far/reads", [](const void* c) { return far(c).stats().reads; }),
+      F("far/writes", [](const void* c) { return far(c).stats().writes; }),
+      F("far/evictions",
+        [](const void* c) { return far(c).stats().evictions; }),
+      F("far/resident", [](const void* c) { return far(c).resident_pages(); }),
+      F("far/read_latency_us",
+        [](const void* c) { return &far(c).stats().read_latency; }),
+      F("net/tx", [](const void* c) { return &rt(c).net->node_tx(rt(c).id); }),
+      F("net/rx", [](const void* c) { return &rt(c).net->node_rx(rt(c).id); }),
+  };
+  static const MetricSchema kWithFar(kFields);
+  static const MetricSchema kWithoutFar([] {
+    std::vector<MetricField> fields;
+    for (const MetricField& f : kFields) {
+      if (!f.suffix.starts_with("far/")) {
+        fields.push_back(f);
+      }
+    }
+    return fields;
+  }());
+  return with_far ? kWithFar : kWithoutFar;
 }
 
 void Cluster::AttachDispatcher(NodeId id) {

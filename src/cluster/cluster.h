@@ -159,8 +159,9 @@ class Cluster {
   // Null unless config.obs.trace. Flush()/Finish() and the digest live on
   // the tracer itself.
   Tracer* tracer() { return tracer_.get(); }
-  // Every stats field of every subsystem, under "node<i>/{os,svc,disk,net}/"
-  // and "net/". Populated at construction; getters read through the live
+  // Every stats field of every subsystem, under
+  // "node<i>/{os,svc,disk,far,net}/" (one NodeMetricSchema family per node)
+  // and "net/total". Populated at construction; readers go through the live
   // objects, so values track reboots and resets.
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
@@ -180,6 +181,9 @@ class Cluster {
     std::unique_ptr<CacheEngine> service;
     GmsAgent* gms = nullptr;  // view into `service` under gms
     std::unique_ptr<NodeOs> os;
+    // The node's network counters are read through these.
+    const Network* net = nullptr;
+    NodeId id;
   };
 
   std::unique_ptr<CacheEngine> MakeService(NodeId id, NodeRuntime& rt);
@@ -188,7 +192,9 @@ class Cluster {
   // Wires a freshly built engine into the node: tracer, far tier, NodeOs.
   void InstallService(NodeRuntime& rt, std::unique_ptr<CacheEngine> service);
   void AttachDispatcher(NodeId id);
-  void RegisterNodeMetrics(uint32_t i);
+  // The metric family every node registers under "node<i>/", read through
+  // its NodeRuntime; nodes with a far tier add the "far/" fields.
+  static const MetricSchema& NodeMetricSchema(bool with_far);
   void ArmSnapshotTimer();
 
   ClusterConfig config_;

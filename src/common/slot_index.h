@@ -1,9 +1,11 @@
 // Open-addressed index from a key to a row of a column the caller owns.
 //
-// FrameTable (uid -> frame slot), GhostCache (uid -> entry) and
-// MetricsRegistry (name -> metric) each already keep their keys in a column
-// of their own; this table stores nothing but row numbers, so no key is
-// held twice. Slot value 0 marks an empty slot, otherwise it is row + 1.
+// FrameTable (uid -> frame slot), GhostCache (uid -> entry),
+// MetricsRegistry (prefix -> metric family) and MetricSchema (suffix ->
+// field) each already keep their keys in a column of their own; this table
+// stores nothing but row numbers, so no key is held twice. A key column may
+// hold records that compare equal to the looked-up key (a family compared
+// with a prefix string). Slot value 0 marks an empty slot, otherwise it is row + 1.
 // Linear probing over a power-of-two table at load factor <= 1/2; erase
 // shifts displaced successors back into the hole (no tombstones), so probe
 // chains never rot under churn.

@@ -40,6 +40,7 @@ void FarMemoryTier::Insert(const Uid& uid) {
   if (!lru_.Access(uid) && lru_.size() == resident) {
     stats_.evictions++;
   }
+  assert(resident_pages() <= capacity_pages());
 }
 
 void FarMemoryTier::SetCapacity(uint64_t pages) {
@@ -48,6 +49,7 @@ void FarMemoryTier::SetCapacity(uint64_t pages) {
       std::min<uint64_t>(pages, lru_.max_capacity())));
   params_.capacity_pages = lru_.capacity();
   stats_.evictions += resident - lru_.size();
+  assert(resident_pages() <= capacity_pages());
 }
 
 void FarMemoryTier::StartNext() {

@@ -8,7 +8,8 @@
 // LRU-ordered set of page uids, kept in an LRU GhostCache; demotions past
 // capacity evict the oldest entry, and SetCapacity() lets chaos scenarios
 // shrink the tier mid-run (the dynamic-capacity adversary) with
-// deterministic eviction order.
+// deterministic eviction order. So residency never exceeds capacity: the
+// tier asserts it after every landed write and every SetCapacity().
 //
 // Like the disk, the tier stamps its queue wait and service time separately
 // (kFarWait / kFarService) on the fault span it serves, so the critical-path

@@ -59,11 +59,11 @@ inline size_t JsonStringSize(std::string_view s) {
   return n;
 }
 
-// Proper JSON string escaping: quotes, backslashes, and control characters
-// round-trip losslessly instead of being squashed to '_'. Unescaped runs are
-// appended whole.
-inline void AppendJsonString(std::string* out, std::string_view s) {
-  out->push_back('"');
+// Proper JSON string escaping, without the quotes: quotes, backslashes,
+// and control characters round-trip losslessly instead of being squashed to
+// '_'. Unescaped runs are appended whole. Escaping is per character, so a
+// name spelled in pieces escapes piece by piece.
+inline void AppendJsonChars(std::string* out, std::string_view s) {
   size_t run = 0;
   for (size_t i = 0; i < s.size(); i++) {
     const char c = s[i];
@@ -81,6 +81,11 @@ inline void AppendJsonString(std::string* out, std::string_view s) {
     }
   }
   out->append(s.data() + run, s.size() - run);
+}
+
+inline void AppendJsonString(std::string* out, std::string_view s) {
+  out->push_back('"');
+  AppendJsonChars(out, s);
   out->push_back('"');
 }
 

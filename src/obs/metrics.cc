@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <charconv>
 #include <cmath>
+#include <numeric>
 #include <utility>
 
 #include "src/obs/json_append.h"
@@ -84,103 +86,232 @@ SimTime LatencyHistogram::Quantile(double q) const {
 }
 
 // ---------------------------------------------------------------------------
-// MetricsRegistry
+// MetricField / MetricSchema
 // ---------------------------------------------------------------------------
 
-bool MetricsRegistry::RegisterNamed(std::string name, Metric metric) {
-  if (index_.Find(name, names_.data()) != index_.kNotFound) {
-    return false;
-  }
-  names_.push_back(std::move(name));
-  metrics_.push_back(std::move(metric));
-  index_.Insert(static_cast<uint32_t>(names_.size() - 1), names_.data());
-  return true;
-}
-
-void MetricsRegistry::Reserve(size_t n) {
-  metrics_.reserve(n);
-  names_.reserve(n);
-  index_.Reserve(n, names_.data());
-}
-
-bool MetricsRegistry::RegisterValue(std::string name, ValueFn fn) {
-  return RegisterNamed(std::move(name), Metric(std::move(fn)));
-}
-
-bool MetricsRegistry::RegisterCounter(std::string name, CounterFn fn) {
-  return RegisterNamed(std::move(name), Metric(std::move(fn)));
-}
-
-bool MetricsRegistry::RegisterStat(std::string name, StatFn fn) {
-  return RegisterNamed(std::move(name), Metric(std::move(fn)));
-}
-
-bool MetricsRegistry::RegisterLatency(std::string name, LatencyFn fn) {
-  return RegisterNamed(std::move(name), Metric(std::move(fn)));
-}
-
-const MetricsRegistry::Metric* MetricsRegistry::Find(
-    std::string_view name) const {
-  const size_t i = IndexOf(name);
-  return i == kInvalidIndex ? nullptr : &metrics_[i];
-}
-
-uint64_t MetricsRegistry::PrimaryValue(const Metric& m) const {
-  switch (static_cast<Kind>(m.index())) {
-    case Kind::kValue:
-      return (*std::get_if<ValueFn>(&m))();
-    case Kind::kCounter:
-      return (*std::get_if<CounterFn>(&m))()->events;
-    case Kind::kStat:
-      return (*std::get_if<StatFn>(&m))()->count();
-    case Kind::kLatency:
-      return (*std::get_if<LatencyFn>(&m))()->count();
+uint64_t MetricField::Primary(const void* ctx) const {
+  switch (kind) {
+    case MetricKind::kValue:
+      return value(ctx);
+    case MetricKind::kCounter:
+      return counter(ctx)->events;
+    case MetricKind::kStat:
+      return stat(ctx)->count();
+    case MetricKind::kLatency:
+      return latency(ctx)->count();
   }
   return 0;
 }
 
+MetricSchema::MetricSchema(std::vector<MetricField> fields)
+    : fields_(std::move(fields)) {
+  index_.Reserve(fields_.size(), fields_.data());
+  for (uint32_t i = 0; i < fields_.size(); i++) {
+    assert(index_.Find(fields_[i].suffix, fields_.data()) ==
+               index_.kNotFound &&
+           "duplicate suffix in a metric schema");
+    index_.Insert(i, fields_.data());
+    json_suffix_bytes_ += JsonStringSize(fields_[i].suffix) - 2;
+  }
+  sorted_.resize(fields_.size());
+  std::iota(sorted_.begin(), sorted_.end(), 0u);
+  std::sort(sorted_.begin(), sorted_.end(), [this](uint32_t a, uint32_t b) {
+    return fields_[a].suffix < fields_[b].suffix;
+  });
+}
+
+// ---------------------------------------------------------------------------
+// MetricsRegistry
+// ---------------------------------------------------------------------------
+
+namespace {
+
+// The schema of one-off metrics whose getter is an `Fn`: one field with an
+// empty suffix (the family prefix is the whole name) whose reader calls the
+// getter the context points at.
+template <typename Fn>
+const MetricSchema& GetterSchema() {
+  static const MetricSchema schema({MetricField(
+      "", [](const void* fn) { return (*static_cast<const Fn*>(fn))(); })});
+  return schema;
+}
+
+}  // namespace
+
+bool MetricsRegistry::RegisterFamily(std::string prefix,
+                                     const MetricSchema& schema,
+                                     const void* ctx) {
+  if (prefix.find('/') + 1 != prefix.size() ||
+      prefix_index_.Find(prefix, families_.data()) !=
+          prefix_index_.kNotFound) {
+    return false;
+  }
+  if (!getters_.empty()) {
+    // Two families cannot spell the same name, but a one-off metric may
+    // already spell one of this family's names.
+    std::string name = prefix;
+    for (const MetricField& f : schema.fields()) {
+      name.resize(prefix.size());
+      name += f.suffix;
+      if (IndexOf(name) != kInvalidIndex) {
+        return false;
+      }
+    }
+  }
+  AddFamily(std::move(prefix), schema, ctx);
+  return true;
+}
+
+template <typename Fn>
+bool MetricsRegistry::RegisterGetter(std::string name, Fn fn) {
+  if (IndexOf(name) != kInvalidIndex ||
+      prefix_index_.Find(name, families_.data()) != prefix_index_.kNotFound) {
+    return false;
+  }
+  getters_.emplace_back(std::in_place_type<Fn>, std::move(fn));
+  AddFamily(std::move(name), GetterSchema<Fn>(),
+            std::get_if<Fn>(&getters_.back()));
+  return true;
+}
+
+void MetricsRegistry::AddFamily(std::string prefix, const MetricSchema& schema,
+                                const void* ctx) {
+  const auto family = static_cast<uint32_t>(families_.size());
+  families_.push_back(Family{std::move(prefix), &schema, ctx,
+                             static_cast<uint32_t>(owner_.size())});
+  prefix_index_.Insert(family, families_.data());
+  owner_.resize(owner_.size() + schema.size(), family);
+}
+
+bool MetricsRegistry::RegisterValue(std::string name, ValueFn fn) {
+  return RegisterGetter(std::move(name), std::move(fn));
+}
+
+bool MetricsRegistry::RegisterCounter(std::string name, CounterFn fn) {
+  return RegisterGetter(std::move(name), std::move(fn));
+}
+
+bool MetricsRegistry::RegisterStat(std::string name, StatFn fn) {
+  return RegisterGetter(std::move(name), std::move(fn));
+}
+
+bool MetricsRegistry::RegisterLatency(std::string name, LatencyFn fn) {
+  return RegisterGetter(std::move(name), std::move(fn));
+}
+
+std::string MetricsRegistry::NameAt(size_t index) const {
+  const Family& f = FamilyOf(index);
+  std::string name = f.prefix;
+  name += f.field(index).suffix;
+  return name;
+}
+
+const std::vector<std::string>& MetricsRegistry::names() const {
+  if (names_.size() < size()) {
+    names_.reserve(size());
+    for (size_t i = names_.size(); i < size(); i++) {
+      names_.push_back(NameAt(i));
+    }
+  }
+  return names_;
+}
+
 std::optional<uint64_t> MetricsRegistry::Value(std::string_view name) const {
-  const Metric* m = Find(name);
-  if (m == nullptr) {
+  const size_t i = IndexOf(name);
+  if (i == kInvalidIndex) {
     return std::nullopt;
   }
-  return PrimaryValue(*m);
+  return ValueAt(i);
 }
 
 std::optional<MetricsRegistry::Kind> MetricsRegistry::KindOf(
     std::string_view name) const {
-  const Metric* m = Find(name);
-  if (m == nullptr) {
+  const size_t i = IndexOf(name);
+  if (i == kInvalidIndex) {
     return std::nullopt;
   }
-  return static_cast<Kind>(m->index());
+  return FamilyOf(i).field(i).kind;
 }
 
 size_t MetricsRegistry::IndexOf(std::string_view name) const {
-  const uint32_t i = index_.Find(name, names_.data());
-  return i == index_.kNotFound ? kInvalidIndex : i;
+  // A family's prefix is the name up to its first '/'; a one-off metric's
+  // is the whole name. Registration guarantees at most one of them matches.
+  const size_t cut = name.find('/');
+  const size_t first = cut == std::string_view::npos ? name.size() : cut + 1;
+  for (const size_t len : {first, name.size()}) {
+    const uint32_t fam =
+        prefix_index_.Find(name.substr(0, len), families_.data());
+    if (fam == prefix_index_.kNotFound) {
+      continue;
+    }
+    const Family& f = families_[fam];
+    const size_t field = f.schema->Find(name.substr(len));
+    if (field < f.schema->size()) {
+      return f.first + field;
+    }
+  }
+  return kInvalidIndex;
 }
 
 uint64_t MetricsRegistry::ValueAt(size_t index) const {
-  return index < metrics_.size() ? PrimaryValue(metrics_[index]) : 0;
+  if (index >= size()) {
+    return 0;
+  }
+  const Family& f = FamilyOf(index);
+  return f.field(index).Primary(f.ctx);
 }
 
 const LatencyHistogram* MetricsRegistry::LatencyAt(size_t index) const {
-  if (index >= metrics_.size()) {
+  if (index >= size()) {
     return nullptr;
   }
-  const LatencyFn* fn = std::get_if<LatencyFn>(&metrics_[index]);
-  return fn == nullptr ? nullptr : (*fn)();
+  const Family& f = FamilyOf(index);
+  const MetricField& field = f.field(index);
+  return field.kind == Kind::kLatency ? field.latency(f.ctx) : nullptr;
 }
 
 void MetricsRegistry::SnapshotEpoch(SimTime now) {
   Snapshot snap;
   snap.time = now;
-  snap.values.reserve(metrics_.size());
-  for (const auto& m : metrics_) {
-    snap.values.push_back(PrimaryValue(m));
+  snap.values.reserve(size());
+  for (const Family& f : families_) {
+    for (const MetricField& field : f.schema->fields()) {
+      snap.values.push_back(field.Primary(f.ctx));
+    }
   }
   snapshots_.push_back(std::move(snap));
+}
+
+std::vector<uint32_t> MetricsRegistry::ExportOrder() const {
+  // Names sort by family prefix, then by suffix within the family, unless
+  // one prefix begins another (family "net/" and one-off "net/a"): then
+  // the two families' names may interleave, so sort the spelled-out names.
+  // Sorted prefixes need only be compared with their neighbours: a prefix
+  // of one string is a prefix of every string sorted between the two.
+  std::vector<uint32_t> fams(families_.size());
+  std::iota(fams.begin(), fams.end(), 0u);
+  std::sort(fams.begin(), fams.end(), [this](uint32_t a, uint32_t b) {
+    return families_[a].prefix < families_[b].prefix;
+  });
+  std::vector<uint32_t> order;
+  order.reserve(size());
+  for (size_t k = 1; k < fams.size(); k++) {
+    if (families_[fams[k]].prefix.starts_with(families_[fams[k - 1]].prefix)) {
+      const std::vector<std::string>& n = names();
+      order.resize(size());
+      std::iota(order.begin(), order.end(), 0u);
+      std::sort(order.begin(), order.end(),
+                [&n](uint32_t a, uint32_t b) { return n[a] < n[b]; });
+      return order;
+    }
+  }
+  for (const uint32_t fam : fams) {
+    const Family& f = families_[fam];
+    for (const uint32_t field : f.schema->sorted()) {
+      order.push_back(f.first + field);
+    }
+  }
+  return order;
 }
 
 namespace {
@@ -197,37 +328,44 @@ std::string MetricsRegistry::ToJson() const {
   // Keys are emitted in sorted name order (not registration order) so the
   // export is diff-friendly and byte-identical across runs that register the
   // same metrics in different orders.
-  std::vector<size_t> order(metrics_.size());
-  for (size_t i = 0; i < order.size(); i++) {
-    order[i] = i;
-  }
-  std::sort(order.begin(), order.end(), [this](size_t a, size_t b) {
-    return names_[a] < names_[b];
-  });
+  const std::vector<uint32_t> order = ExportOrder();
   // One reservation bounds the whole export, so the string never regrows.
+  // Every name appears twice (metrics map and series), quoted and escaped.
   const size_t num_snaps = snapshots_.size();
   size_t bound = 256 + num_snaps * kSeriesValueMaxBytes;
-  for (const std::string& name : names_) {
-    bound += 2 * JsonStringSize(name) + kMetricEntryMaxBytes +
-             num_snaps * kSeriesValueMaxBytes;
+  for (const Family& f : families_) {
+    const MetricSchema& schema = *f.schema;
+    const size_t name_bytes =
+        schema.size() * JsonStringSize(f.prefix) + schema.json_suffix_bytes();
+    bound += 2 * name_bytes +
+             schema.size() *
+                 (kMetricEntryMaxBytes + num_snaps * kSeriesValueMaxBytes);
   }
   std::string out;
   out.reserve(bound);
+  auto append_name = [&](size_t i) {
+    const Family& f = FamilyOf(i);
+    out.push_back('"');
+    AppendJsonChars(&out, f.prefix);
+    AppendJsonChars(&out, f.field(i).suffix);
+    out.push_back('"');
+  };
   out += "{\n  \"schema\": 1,\n  \"metrics\": {\n";
   for (size_t oi = 0; oi < order.size(); oi++) {
     const size_t i = order[oi];
-    const Metric& m = metrics_[i];
+    const void* ctx = FamilyOf(i).ctx;
+    const MetricField& f = FamilyOf(i).field(i);
     out += "    ";
-    AppendJsonString(&out, names_[i]);
+    append_name(i);
     out += ": ";
-    switch (static_cast<Kind>(m.index())) {
+    switch (f.kind) {
       case Kind::kValue:
         out += "{\"type\": \"value\", \"value\": ";
-        AppendInt(&out, (*std::get_if<ValueFn>(&m))());
+        AppendInt(&out, f.value(ctx));
         out += "}";
         break;
       case Kind::kCounter: {
-        const Counter* c = (*std::get_if<CounterFn>(&m))();
+        const Counter* c = f.counter(ctx);
         out += "{\"type\": \"counter\", \"events\": ";
         AppendInt(&out, c->events);
         out += ", \"bytes\": ";
@@ -236,7 +374,7 @@ std::string MetricsRegistry::ToJson() const {
         break;
       }
       case Kind::kStat: {
-        const StatAccumulator* s = (*std::get_if<StatFn>(&m))();
+        const StatAccumulator* s = f.stat(ctx);
         out += "{\"type\": \"stat\", \"count\": ";
         AppendInt(&out, s->count());
         AppendF(&out,
@@ -246,7 +384,7 @@ std::string MetricsRegistry::ToJson() const {
         break;
       }
       case Kind::kLatency: {
-        const LatencyHistogram* h = (*std::get_if<LatencyFn>(&m))();
+        const LatencyHistogram* h = f.latency(ctx);
         out += "{\"type\": \"latency\", \"count\": ";
         AppendInt(&out, h->count());
         out += ", \"p50_ns\": ";
@@ -276,7 +414,7 @@ std::string MetricsRegistry::ToJson() const {
   for (size_t oi = 0; oi < order.size(); oi++) {
     const size_t i = order[oi];
     out += "      ";
-    AppendJsonString(&out, names_[i]);
+    append_name(i);
     out += ": [";
     char* p = row.data();
     for (size_t s = 0; s < num_snaps; s++) {

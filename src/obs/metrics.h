@@ -4,11 +4,16 @@
 //
 // Subsystems keep owning their hot-path stat fields (a registry indirection
 // on the fault path would not be free); what the registry owns is the *name
-// space* and the *time series*. Registration stores a getter (not a raw
-// pointer) so a metric survives its subsystem being rebuilt — a rebooted
-// node's fresh GmsAgent is picked up transparently.
+// space* and the *time series*.
 //
 //   * names are slash-hierarchical: "node0/os/faults", "net/total/bytes";
+//   * metrics come in families: a constant MetricSchema lists a subsystem's
+//     fields once (name suffix, kind, captureless reader), and registering
+//     a family is one append of (prefix, schema, context pointer) however
+//     many fields the schema has. Readers go through the context on every
+//     read, so a rebooted node's fresh GmsAgent shows through;
+//   * a one-off metric registered by name is a one-field family whose
+//     context is its stored getter;
 //   * SnapshotEpoch() appends the current cumulative value of every metric
 //     to a time series (the per-epoch plumbing behind Figures 8/11-style
 //     curves), cheap enough to run every simulated epoch;
@@ -18,11 +23,11 @@
 #define SRC_OBS_METRICS_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -67,30 +72,108 @@ class LatencyHistogram {
   uint64_t count_ = 0;
 };
 
-// One registered metric: a name plus a getter for the live object. The
-// primary value (what SnapshotEpoch records) is the metric's monotonic
-// event count.
+enum class MetricKind { kValue, kCounter, kStat, kLatency };
+
+// One field of a MetricSchema: the name suffix it adds to a family's
+// prefix, its kind, and a captureless reader over the family's context
+// pointer. The reader matching `kind` is the one set.
+struct MetricField {
+  using ValueReader = uint64_t (*)(const void* ctx);
+  using CounterReader = const Counter* (*)(const void* ctx);
+  using StatReader = const StatAccumulator* (*)(const void* ctx);
+  using LatencyReader = const LatencyHistogram* (*)(const void* ctx);
+
+  MetricField(std::string_view s, ValueReader r)
+      : suffix(s), kind(MetricKind::kValue), value(r) {}
+  MetricField(std::string_view s, CounterReader r)
+      : suffix(s), kind(MetricKind::kCounter), counter(r) {}
+  MetricField(std::string_view s, StatReader r)
+      : suffix(s), kind(MetricKind::kStat), stat(r) {}
+  MetricField(std::string_view s, LatencyReader r)
+      : suffix(s), kind(MetricKind::kLatency), latency(r) {}
+
+  // Primary value (what SnapshotEpoch records): kValue -> the value,
+  // kCounter -> events, kStat/kLatency -> sample count.
+  uint64_t Primary(const void* ctx) const;
+  // A field is looked up by its suffix.
+  bool operator==(std::string_view s) const { return suffix == s; }
+
+  std::string_view suffix;  // the schema's storage must outlive it
+  MetricKind kind;
+  union {
+    ValueReader value;
+    CounterReader counter;
+    StatReader stat;
+    LatencyReader latency;
+  };
+};
+
+// Hash of a name piece; a field hashes as its suffix, so a schema's index
+// can be keyed by its fields.
+struct MetricNameHash {
+  size_t operator()(std::string_view s) const {
+    return std::hash<std::string_view>{}(s);
+  }
+  size_t operator()(const MetricField& f) const { return (*this)(f.suffix); }
+};
+
+// A constant table of fields shared by every family registered with it
+// (one per subsystem shape, built once per process). Suffixes are unique.
+class MetricSchema {
+ public:
+  explicit MetricSchema(std::vector<MetricField> fields);
+  MetricSchema(const MetricSchema&) = delete;
+  MetricSchema& operator=(const MetricSchema&) = delete;
+
+  size_t size() const { return fields_.size(); }
+  const std::vector<MetricField>& fields() const { return fields_; }
+  // The field whose suffix is `suffix`, or fields().size() if none.
+  size_t Find(std::string_view suffix) const {
+    const uint32_t i = index_.Find(suffix, fields_.data());
+    return i == index_.kNotFound ? fields_.size() : i;
+  }
+  // Field numbers in ascending suffix order (the export's order).
+  const std::vector<uint32_t>& sorted() const { return sorted_; }
+  // Bytes the escaped suffixes add to the export's names, summed.
+  size_t json_suffix_bytes() const { return json_suffix_bytes_; }
+
+ private:
+  std::vector<MetricField> fields_;
+  SlotIndex<MetricField, MetricNameHash> index_;  // by suffix
+  std::vector<uint32_t> sorted_;
+  size_t json_suffix_bytes_ = 0;
+};
+
+// Metric indices are dense and in registration order; a family's fields
+// take consecutive indices in schema order.
 class MetricsRegistry {
  public:
-  enum class Kind { kValue, kCounter, kStat, kLatency };
+  using Kind = MetricKind;
 
   using ValueFn = std::function<uint64_t()>;
   using CounterFn = std::function<const Counter*()>;
   using StatFn = std::function<const StatAccumulator*()>;
   using LatencyFn = std::function<const LatencyHistogram*()>;
 
-  // Registration (setup time; duplicate names are rejected with false).
-  // Registration and every by-name lookup cost O(1) at any registry size.
+  // Registers one metric per schema field, named prefix + suffix and read
+  // through `ctx`. `schema` must outlive the registry. The prefix is one
+  // path component ("node7/": its only '/' is its last character) that no
+  // other family has; a family that would spell a name already registered
+  // is rejected whole (false). O(1) at any registry and schema size, or
+  // O(fields) once one-off metrics exist, to check it spells none of them.
+  bool RegisterFamily(std::string prefix, const MetricSchema& schema,
+                      const void* ctx);
+
+  // One-off registration by full name (duplicates are rejected with false).
   bool RegisterValue(std::string name, ValueFn fn);
   bool RegisterCounter(std::string name, CounterFn fn);
   bool RegisterStat(std::string name, StatFn fn);
   bool RegisterLatency(std::string name, LatencyFn fn);
-  // Sizes the registry for `n` metrics in all, so registering up to that
-  // many regrows no column and never rehashes the name index.
-  void Reserve(size_t n);
 
-  size_t size() const { return metrics_.size(); }
-  const std::vector<std::string>& names() const { return names_; }
+  size_t size() const { return owner_.size(); }
+  // Every metric's name by index. Registration stores no per-metric name:
+  // the column is spelled out on the first call after a registration.
+  const std::vector<std::string>& names() const;
 
   // Current primary value of a metric: kValue -> the value, kCounter ->
   // events, kStat/kLatency -> sample count. nullopt for unknown names.
@@ -100,7 +183,9 @@ class MetricsRegistry {
   // Index-based access for sampling paths that read many metrics on a timer
   // (health monitoring): resolve the name once at bind time, then read by
   // index with no string compare per sample. Indices are stable for the
-  // registry's lifetime (registration only appends).
+  // registry's lifetime (registration only appends). IndexOf costs at most
+  // two family lookups (the first path component, the whole name), each
+  // followed by a schema lookup on a hit.
   static constexpr size_t kInvalidIndex = ~static_cast<size_t>(0);
   size_t IndexOf(std::string_view name) const;  // kInvalidIndex if unknown
   uint64_t ValueAt(size_t index) const;         // primary value
@@ -126,31 +211,38 @@ class MetricsRegistry {
   std::string ToJson() const;
 
  private:
-  // One metric's getter; its name is names_ at the same index, and its Kind
-  // is the alternative's index (one std::function, not one per kind).
-  using Metric = std::variant<ValueFn, CounterFn, StatFn, LatencyFn>;
-  static_assert(std::is_same_v<std::variant_alternative_t<
-                                   static_cast<size_t>(Kind::kValue), Metric>,
-                               ValueFn> &&
-                std::is_same_v<std::variant_alternative_t<
-                                   static_cast<size_t>(Kind::kCounter), Metric>,
-                               CounterFn> &&
-                std::is_same_v<std::variant_alternative_t<
-                                   static_cast<size_t>(Kind::kStat), Metric>,
-                               StatFn> &&
-                std::is_same_v<std::variant_alternative_t<
-                                   static_cast<size_t>(Kind::kLatency), Metric>,
-                               LatencyFn>,
-                "Kind must list the Metric alternatives in order");
-  static_assert(sizeof(Metric) <= 48, "one getter per metric");
+  struct Family {
+    std::string prefix;
+    const MetricSchema* schema;
+    const void* ctx;
+    uint32_t first;  // index of the schema's field 0
 
-  bool RegisterNamed(std::string name, Metric metric);
-  uint64_t PrimaryValue(const Metric& m) const;
-  const Metric* Find(std::string_view name) const;
+    const MetricField& field(size_t index) const {
+      return schema->fields()[index - first];
+    }
+    bool operator==(std::string_view p) const { return prefix == p; }
+  };
+  struct PrefixHash {
+    size_t operator()(std::string_view p) const { return MetricNameHash{}(p); }
+    size_t operator()(const Family& f) const { return (*this)(f.prefix); }
+  };
+  using Getter = std::variant<ValueFn, CounterFn, StatFn, LatencyFn>;
 
-  std::vector<Metric> metrics_;
-  std::vector<std::string> names_;  // parallel to metrics_
-  SlotIndex<std::string, std::hash<std::string_view>> index_;  // over names_
+  template <typename Fn>
+  bool RegisterGetter(std::string name, Fn fn);
+  void AddFamily(std::string prefix, const MetricSchema& schema,
+                 const void* ctx);
+  const Family& FamilyOf(size_t index) const {
+    return families_[owner_[index]];
+  }
+  std::string NameAt(size_t index) const;
+  std::vector<uint32_t> ExportOrder() const;
+
+  std::vector<Family> families_;
+  SlotIndex<Family, PrefixHash> prefix_index_;  // over families_' prefixes
+  std::vector<uint32_t> owner_;  // metric index -> family
+  std::deque<Getter> getters_;  // one-off metrics' contexts (stable)
+  mutable std::vector<std::string> names_;  // built on request
   std::vector<Snapshot> snapshots_;
 };
 

@@ -14,13 +14,16 @@
 // with the exact allocation count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "src/cluster/cluster.h"
 #include "src/common/node_id.h"
@@ -601,6 +604,54 @@ TEST(AllocTest, HealthSamplingIsAllocationFreeAtSteadyState) {
   EXPECT_EQ(window.allocs(), 0u)
       << "a health Sample() pass allocated at steady state";
   EXPECT_EQ(window.frees(), 0u);
+}
+
+// Registering a node's metric family is one append of (prefix, schema,
+// context), however many fields the schema has: the fields share the
+// schema's names and readers, so nothing is allocated per field. The only
+// allocations are the registry's two columns doubling (families, metric
+// owners) and its prefix index rehashing, at most once each per
+// registration and logarithmically often in all; "n<i>/" prefixes fit the
+// small-string buffer.
+struct FamilyAllocs {
+  uint64_t total = 0;
+  uint64_t max_one = 0;
+};
+
+FamilyAllocs MeasureFamilyRegistration(size_t fields, size_t families) {
+  std::vector<MetricField> table;
+  std::vector<std::string> suffixes(fields);
+  for (size_t f = 0; f < fields; f++) {
+    suffixes[f] = "field" + std::to_string(f);
+    table.emplace_back(suffixes[f],
+                       [](const void*) -> uint64_t { return 1; });
+  }
+  const MetricSchema schema(std::move(table));
+  MetricsRegistry registry;
+  FamilyAllocs out;
+  for (size_t i = 0; i < families; i++) {
+    std::string prefix = "n" + std::to_string(i) + "/";
+    const AllocWindow window;
+    EXPECT_TRUE(registry.RegisterFamily(std::move(prefix), schema, nullptr));
+    out.total += window.allocs();
+    out.max_one = std::max<uint64_t>(out.max_one, window.allocs());
+  }
+  EXPECT_EQ(registry.size(), fields * families);
+  return out;
+}
+
+TEST(AllocTest, RegisteringAFamilyCostsTheSameAtAnySchemaWidth) {
+  constexpr size_t kFamilies = 1000;
+  const FamilyAllocs narrow = MeasureFamilyRegistration(1, kFamilies);
+  const FamilyAllocs wide = MeasureFamilyRegistration(40, kFamilies);
+  for (const FamilyAllocs& a : {narrow, wide}) {
+    EXPECT_LE(a.max_one, 4u) << "a registration allocated per field";
+    EXPECT_LE(a.total, 64u) << "registration is not amortized O(1)";
+  }
+  // 40x the metrics costs only the owner column's extra doublings.
+  EXPECT_LE(wide.total, narrow.total + 6)
+      << "1 field: " << narrow.total << " allocations for " << kFamilies
+      << " families, 40 fields: " << wide.total;
 }
 
 // Per-node heap traffic of the epoch protocol on an idle fanout-16 tree: a

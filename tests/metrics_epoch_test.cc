@@ -10,6 +10,8 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "src/cluster/chaos_scenario.h"
 #include "src/cluster/cluster.h"
@@ -99,13 +101,81 @@ TEST(MetricsEpochTest, SnapshotsOffByDefault) {
   EXPECT_TRUE(cluster->metrics().snapshots().empty());
 }
 
-// The cluster sizes its registry from node 0's families before the other
-// nodes register theirs: construction ends with the columns exactly full.
-TEST(MetricsEpochTest, RegistryIsSizedOnceAtConstruction) {
+uint64_t Fnv1a(std::string_view bytes) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// The whole export of a small traced run, hashed: nodes with and without a
+// far tier, every metric kind, a snapshot series. The constant was recorded
+// when every node metric was its own named getter; the export must not
+// depend on how the registry stores its names.
+TEST(MetricsEpochTest, SmallClusterExportHashIsPinned) {
   ClusterConfig config;
-  config.num_nodes = 16;
+  config.num_nodes = 3;
+  config.frames = 128;
+  config.far_frames_per_node = {0, 96, 0};
+  config.seed = 7;
+  config.obs.snapshot_interval = Milliseconds(100);
   Cluster cluster(config);
-  EXPECT_EQ(cluster.metrics().names().capacity(), cluster.metrics().size());
+  cluster.Start();
+  cluster.AddWorkload(
+      NodeId{0},
+      std::make_unique<UniformRandomPattern>(
+          PageSet{MakeFileUid(NodeId{0}, 1, 0), 400}, 3000, Microseconds(60),
+          0.2),
+      "w0");
+  cluster.StartWorkloads();
+  ASSERT_TRUE(cluster.RunUntilWorkloadsDone(Seconds(600)));
+  ASSERT_TRUE(cluster.RunUntilQuiescent(Seconds(30)));
+  const std::string json = cluster.metrics().ToJson();
+  EXPECT_EQ(cluster.metrics().size(), 3u * 39 + 5 + 1);
+  EXPECT_EQ(Fnv1a(json), 0xf6ebadd31b55eba7ull) << json.size() << " bytes";
+}
+
+// Every metric of a 1000-node cluster resolves both ways: names()[i] maps
+// back to i, and reading by index equals reading by name, also for a
+// rebooted node whose engine was replaced.
+TEST(MetricsEpochTest, EveryNameMapsBackToItsIndexAtOneThousandNodes) {
+  ClusterConfig config;
+  config.num_nodes = 1000;
+  config.frames = 16;
+  config.far_frames_per_node.assign(config.num_nodes, 0);
+  for (uint32_t i = 0; i < config.num_nodes; i += 7) {
+    config.far_frames_per_node[i] = 8;
+  }
+  Cluster cluster(config);
+  cluster.Start();
+  cluster.sim().RunFor(Milliseconds(20));
+  cluster.CrashNode(NodeId{3});
+  cluster.sim().RunFor(Milliseconds(20));
+  cluster.RestartNode(NodeId{3});
+  cluster.sim().RunFor(Milliseconds(20));
+
+  const MetricsRegistry& metrics = cluster.metrics();
+  const std::vector<std::string>& names = metrics.names();
+  ASSERT_EQ(names.size(), metrics.size());
+  EXPECT_EQ(metrics.size(), 1000u * 39 + 143u * 5 + 1);
+  for (size_t i = 0; i < names.size(); i++) {
+    ASSERT_EQ(metrics.IndexOf(names[i]), i) << names[i];
+    ASSERT_EQ(metrics.Value(names[i]), metrics.ValueAt(i)) << names[i];
+  }
+  const size_t attempts = metrics.IndexOf("node3/svc/getpage_attempts");
+  ASSERT_NE(attempts, MetricsRegistry::kInvalidIndex);
+  EXPECT_EQ(metrics.ValueAt(attempts),
+            cluster.service(NodeId{3}).stats().getpage_attempts);
+  const size_t epoch = metrics.IndexOf("node3/svc/epoch");
+  ASSERT_NE(epoch, MetricsRegistry::kInvalidIndex);
+  EXPECT_EQ(metrics.ValueAt(epoch),
+            cluster.gms_agent(NodeId{3})->epoch_view().epoch);
+  EXPECT_EQ(metrics.IndexOf("node1000/os/faults"),
+            MetricsRegistry::kInvalidIndex);
+  EXPECT_EQ(metrics.IndexOf("node1/far/reads"), MetricsRegistry::kInvalidIndex);
+  EXPECT_NE(metrics.IndexOf("node7/far/reads"), MetricsRegistry::kInvalidIndex);
 }
 
 // A reboot tears down the node's CacheEngine and builds a fresh GmsAgent;

@@ -335,19 +335,94 @@ TEST(MetricsRegistryTest, ManyMetricsKeepIndicesAndNames) {
   EXPECT_EQ(reg.IndexOf("node2000/os/faults"), MetricsRegistry::kInvalidIndex);
 }
 
-TEST(MetricsRegistryTest, ReserveSizesTheRegistryOnce) {
+// A family registers one metric per schema field under its prefix, read
+// through its context; names, kinds, lookups and the export all see the
+// fields as if each had been registered by name.
+TEST(MetricsRegistryTest, FamiliesSpellPrefixPlusSuffix) {
+  struct Node {
+    uint64_t faults = 0;
+    Counter tx;
+  };
+  const MetricSchema schema({
+      MetricField("os/faults",
+                  [](const void* c) {
+                    return static_cast<const Node*>(c)->faults;
+                  }),
+      MetricField("net/tx",
+                  [](const void* c) {
+                    return &static_cast<const Node*>(c)->tx;
+                  }),
+  });
+  Node nodes[3];
   MetricsRegistry reg;
-  constexpr size_t kMetrics = 3000;
-  reg.Reserve(kMetrics);
-  const std::string* names = reg.names().data();
-  for (size_t i = 0; i < kMetrics; i++) {
-    ASSERT_TRUE(reg.RegisterValue("m" + std::to_string(i), [i] { return i; }));
+  for (uint64_t i = 0; i < 3; i++) {
+    nodes[i].faults = 10 + i;
+    nodes[i].tx.Add(100);
+    ASSERT_TRUE(reg.RegisterFamily("node" + std::to_string(i) + "/", schema,
+                                   &nodes[i]));
   }
-  // No regrowth moved the name column; every name still resolves.
-  EXPECT_EQ(reg.names().data(), names);
-  for (size_t i = 0; i < kMetrics; i += 101) {
-    EXPECT_EQ(reg.IndexOf("m" + std::to_string(i)), i);
+  ASSERT_EQ(reg.size(), 6u);
+  EXPECT_EQ(reg.names()[0], "node0/os/faults");
+  EXPECT_EQ(reg.names()[5], "node2/net/tx");
+  EXPECT_EQ(reg.IndexOf("node1/net/tx"), 3u);
+  EXPECT_EQ(reg.Value("node2/os/faults"), 12u);
+  EXPECT_EQ(reg.KindOf("node0/net/tx"), MetricsRegistry::Kind::kCounter);
+  EXPECT_EQ(reg.IndexOf("node1/"), MetricsRegistry::kInvalidIndex);
+  EXPECT_EQ(reg.IndexOf("node1/os"), MetricsRegistry::kInvalidIndex);
+  EXPECT_EQ(reg.IndexOf("node3/os/faults"), MetricsRegistry::kInvalidIndex);
+  nodes[1].faults = 99;  // read live, not copied at registration
+  EXPECT_EQ(reg.ValueAt(2), 99u);
+
+  // The export is the one a registry of the same names by getter gives.
+  MetricsRegistry by_name;
+  for (uint64_t i = 0; i < 3; i++) {
+    const Node* n = &nodes[i];
+    const std::string p = "node" + std::to_string(i) + "/";
+    ASSERT_TRUE(by_name.RegisterValue(p + "os/faults", [n] { return n->faults; }));
+    ASSERT_TRUE(by_name.RegisterCounter(p + "net/tx", [n] { return &n->tx; }));
   }
+  reg.SnapshotEpoch(Milliseconds(1));
+  by_name.SnapshotEpoch(Milliseconds(1));
+  EXPECT_EQ(reg.ToJson(), by_name.ToJson());
+}
+
+// No two registrations may spell the same name, whichever of a family and
+// a one-off metric comes first; a family prefix is one path component.
+TEST(MetricsRegistryTest, FamiliesRejectEveryCollision) {
+  const MetricSchema schema({
+      MetricField("os/faults", [](const void*) { return uint64_t{1}; }),
+      MetricField("x", [](const void*) { return uint64_t{2}; }),
+  });
+  MetricsRegistry reg;
+  ASSERT_TRUE(reg.RegisterFamily("a/", schema, nullptr));
+  EXPECT_FALSE(reg.RegisterFamily("a/", schema, nullptr)) << "same prefix";
+  EXPECT_FALSE(reg.RegisterFamily("b", schema, nullptr)) << "no '/'";
+  EXPECT_FALSE(reg.RegisterFamily("a/os/", schema, nullptr))
+      << "two path components";
+  EXPECT_FALSE(reg.RegisterValue("a/os/faults", [] { return uint64_t{0}; }));
+  EXPECT_FALSE(reg.RegisterValue("a/", [] { return uint64_t{0}; }))
+      << "a one-off named like a family prefix";
+  // A one-off first: the family that would spell it is refused whole.
+  ASSERT_TRUE(reg.RegisterValue("c/x", [] { return uint64_t{4}; }));
+  EXPECT_FALSE(reg.RegisterFamily("c/", schema, nullptr));
+  EXPECT_EQ(reg.size(), 3u);
+  EXPECT_EQ(reg.Value("a/x"), 2u);
+  EXPECT_EQ(reg.Value("c/x"), 4u);
+  EXPECT_EQ(reg.IndexOf("c/"), MetricsRegistry::kInvalidIndex);
+  // A name with no '/' (even the empty one) is a one-off's whole prefix.
+  ASSERT_TRUE(reg.RegisterValue("", [] { return uint64_t{6}; }));
+  ASSERT_TRUE(reg.RegisterValue("plain", [] { return uint64_t{7}; }));
+  EXPECT_EQ(reg.Value(""), 6u);
+  EXPECT_EQ(reg.Value("plain"), 7u);
+
+  // One-offs under a family's first component sort among its names.
+  ASSERT_TRUE(reg.RegisterValue("a/p", [] { return uint64_t{5}; }));
+  EXPECT_EQ(reg.IndexOf("a/p"), 5u);
+  const std::string json = reg.ToJson();
+  EXPECT_LT(json.find("\"a/os/faults\""), json.find("\"a/p\""));
+  EXPECT_LT(json.find("\"a/p\""), json.find("\"a/x\""));
+  EXPECT_LT(json.find("\"a/x\""), json.find("\"c/x\""));
+  EXPECT_LT(json.find("\"\": {"), json.find("\"a/os/faults\""));
 }
 
 TEST(MetricsRegistryTest, SnapshotSeriesTracksCumulativeValues) {

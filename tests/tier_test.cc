@@ -7,6 +7,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -102,6 +103,30 @@ TEST(FarMemoryTierTest, SetCapacityEvictsSynchronouslyDownToTheBound) {
   tier.ResetStats();
   EXPECT_EQ(tier.stats().evictions, 0u);
   EXPECT_EQ(tier.stats().read_latency.count(), 0u);
+}
+
+// Residency never exceeds capacity, whatever order writes and shrinks come
+// in: a shrink below the current residency evicts down to it at once, and
+// writes that land after a shrink displace instead of overfilling.
+TEST(FarMemoryTierTest, ShrinkBelowResidencyNeverLeavesTheTierOverfull) {
+  Simulator sim;
+  FarMemoryTier tier(&sim, TestParams(16));
+  uint32_t next = 0;
+  for (const uint64_t cap : {16u, 5u, 0u, 9u, 3u, 16u, 1u}) {
+    for (int w = 0; w < 12; w++) {
+      tier.WritePage(MakeAnonUid(NodeId{0}, 1, next++), {});
+    }
+    sim.RunFor(Microseconds(600));  // some writes land, the rest queue
+    ASSERT_LE(tier.resident_pages(), tier.capacity_pages());
+    const uint64_t before = tier.resident_pages();
+    tier.SetCapacity(cap);
+    EXPECT_EQ(tier.capacity_pages(), cap);
+    EXPECT_EQ(tier.resident_pages(), std::min(before, cap));
+    EXPECT_LE(tier.resident_pages(), tier.capacity_pages());
+  }
+  sim.RunFor(Milliseconds(100));
+  EXPECT_EQ(tier.resident_pages(), 1u);
+  EXPECT_EQ(tier.stats().writes, next);
 }
 
 TEST(FarMemoryTierTest, EvictRemovesExactlyTheRequestedPage) {
