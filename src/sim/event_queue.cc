@@ -41,6 +41,7 @@ void CalendarQueue::Locate() {
   }
   // Sparse: no event within one full rotation. Direct search over bucket
   // minima, then jump the window to the winner's year.
+  direct_searches_++;
   size_t best_b = n;
   size_t best_i = 0;
   for (size_t k = 0; k < n; ++k) {
@@ -94,9 +95,7 @@ void CalendarQueue::Resize(size_t new_buckets) {
   scratch_.clear();
   scratch_.reserve(size_);
   for (Bucket& b : buckets_) {
-    for (SimEvent& e : b) {
-      scratch_.push_back(std::move(e));
-    }
+    scratch_.insert(scratch_.end(), b.begin(), b.end());
     b.clear();
   }
 
@@ -109,15 +108,15 @@ void CalendarQueue::Resize(size_t new_buckets) {
   size_t min_b = 0;
   size_t min_i = 0;
   bool have_min = false;
-  for (SimEvent& e : scratch_) {
-    const size_t k = BucketFor(e.time);
-    Bucket& b = buckets_[k];
-    if (!have_min || Earlier(e, buckets_[min_b][min_i])) {
-      min_b = k;
+  for (const Key& k : scratch_) {
+    const size_t i = BucketFor(k.time);
+    Bucket& b = buckets_[i];
+    if (!have_min || Earlier(k, buckets_[min_b][min_i])) {
+      min_b = i;
       min_i = b.size();
       have_min = true;
     }
-    b.push_back(std::move(e));
+    b.push_back(k);
   }
   scratch_.clear();
   if (have_min) {

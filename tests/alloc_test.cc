@@ -2,7 +2,8 @@
 // global operator new/delete with counting versions and proves the two core
 // loops are allocation-free at steady state:
 //
-//   * scheduling + dispatching events through the calendar queue, and
+//   * scheduling + dispatching events through the calendar queue, steady
+//     and in epoch-style bursts, and
 //   * sending a datagram and delivering it through the network
 //     (send -> egress -> delivery event -> handler dispatch).
 //
@@ -161,6 +162,63 @@ TEST(AllocTest, TimerScheduleCancelIsAllocationFreeAtSteadyState) {
   EXPECT_GT(step - step0, 2000u);
   EXPECT_EQ(window.allocs(), 0u)
       << "timer schedule/cancel allocated at steady state";
+}
+
+// The epoch protocol's burst shape: every epoch 1000 requests land at one
+// instant and 1000 replies at the next, while 1000 node timers re-arm about
+// 268 ms out. Bursts fill the queue's slab to 2000+ live events and drain
+// it, so a slab that freed or regrew slots, or buckets that churned their
+// capacity, allocate here. Periods are powers of two (timer 2^28 ns, epoch
+// 2^26 ns, hop 2^14 ns), so the schedule repeats exactly and bucket loads
+// stop setting records once warm-up has wrapped the calendar.
+constexpr int kBurstNodes = 1000;
+constexpr SimTime kBurstTimerPeriod = SimTime{1} << 28;
+constexpr SimTime kBurstEpoch = SimTime{1} << 26;
+constexpr SimTime kBurstHop = SimTime{1} << 14;
+struct BurstTimer {
+  Simulator* sim;
+  uint64_t* fired;
+  void operator()() {
+    ++*fired;
+    sim->ScheduleTimer(kBurstTimerPeriod, BurstTimer{sim, fired});
+  }
+};
+struct BurstRequest {
+  Simulator* sim;
+  uint64_t* fired;
+  void operator()() {
+    ++*fired;
+    sim->After(kBurstHop, [fired = fired] { ++*fired; });
+  }
+};
+struct BurstEpoch {
+  Simulator* sim;
+  uint64_t* fired;
+  void operator()() {
+    for (int i = 0; i < kBurstNodes; ++i) {
+      sim->After(kBurstHop, BurstRequest{sim, fired});
+    }
+    sim->After(kBurstEpoch, BurstEpoch{sim, fired});
+  }
+};
+
+TEST(AllocTest, BurstyScheduleIsAllocationFreeAtSteadyState) {
+  Simulator sim;
+  uint64_t fired = 0;
+  for (int i = 0; i < kBurstNodes; ++i) {
+    sim.ScheduleTimer(SimTime{i} << 18, BurstTimer{&sim, &fired});
+  }
+  sim.After(kBurstEpoch, BurstEpoch{&sim, &fired});
+  // Warm-up as long as the measured window: a slab that never reused its
+  // slots would grow past a power of two, and reallocate, inside it.
+  sim.RunFor(4 * kBurstTimerPeriod);
+  const AllocWindow window;
+  const uint64_t fired0 = fired;
+  sim.RunFor(4 * kBurstTimerPeriod);
+  EXPECT_GT(fired - fired0, 30000u);
+  EXPECT_EQ(window.allocs(), 0u)
+      << "a bursty schedule allocated at steady state";
+  EXPECT_EQ(window.frees(), 0u);
 }
 
 // Ping-pong a GetPageMiss between two nodes: every trip is one Send (payload
