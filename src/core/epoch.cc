@@ -105,20 +105,17 @@ bool EpochPartial::MergeSummary(const EpochSummary& s) {
   if (Contains(s.node)) {
     return false;
   }
-  ages.Merge(s.ages);
   evictions += s.evictions;
   nodes.push_back(CompressSummary(s));
   return true;
 }
 
 bool EpochPartial::MergePartial(const EpochPartial& other) {
-  // Common case first: disjoint node sets merge wholesale (one histogram
-  // merge, no per-bucket expansion). Overlaps — a duplicated delivery, or a
-  // tree partial racing the root's direct re-request — fold only the new
-  // nodes, reconstructing their histogram contribution from the sparse
-  // stats; either path preserves the invariant that `ages`/`evictions` are
-  // exactly the sums over `nodes`. One hash set over our nodes makes the
-  // whole merge O(|nodes| + |other.nodes|).
+  // Common case first: disjoint node sets merge wholesale. Overlaps — a
+  // duplicated delivery, or a tree partial racing the root's direct
+  // re-request — fold only the new nodes; either path preserves the
+  // invariant that `evictions` is exactly the sum over `nodes`. One hash set
+  // over our nodes makes the whole merge O(|nodes| + |other.nodes|).
   if (other.nodes.empty()) {
     return false;
   }
@@ -131,7 +128,6 @@ bool EpochPartial::MergePartial(const EpochPartial& other) {
     }
   }
   if (!overlap) {
-    ages.Merge(other.ages);
     evictions += other.evictions;
     nodes.insert(nodes.end(), other.nodes.begin(), other.nodes.end());
     return true;
@@ -140,9 +136,6 @@ bool EpochPartial::MergePartial(const EpochPartial& other) {
   for (const EpochNodeStat& n : other.nodes) {
     if (!have.Insert(NodeKey(n.node))) {
       continue;
-    }
-    for (const auto& [bucket, count] : n.buckets) {
-      ages.AddBucket(bucket, count);
     }
     evictions += n.evictions;
     nodes.push_back(n);
@@ -165,7 +158,15 @@ EpochPlan ComputeEpochPlanFromPartial(const EpochConfig& config,
   plan.weights.assign(num_nodes, 0.0);
   plan.next_initiator = fallback_initiator;
 
-  const LogHistogram& merged = partial.ages;
+  // The merged age histogram, rebuilt from the per-node sparse stats:
+  // bucket sums are integer additions, so it equals the dense merge of
+  // every node's summary in any order, bit for bit.
+  LogHistogram merged;
+  for (const EpochNodeStat& n : partial.nodes) {
+    for (const auto& [bucket, count] : n.buckets) {
+      merged.AddBucket(bucket, count);
+    }
+  }
   const uint64_t total_evictions = partial.evictions;
 
   // Replacement-rate estimate (pages/second), floored so a quiet cluster

@@ -81,10 +81,11 @@ EpochPlan ComputeEpochPlan(const EpochConfig& config, uint64_t epoch,
 //
 // The tree protocol reduces summaries on the way to the root: every
 // aggregator folds its children's EpochPartials into one (messages.h). The
-// reduction is associative and commutative by construction — histogram
-// merges are integer bucket sums and the per-node stats are a set keyed by
-// node id — so the root's plan is bit-identical to the flat computation over
-// the same summary set, for any fanout and any partial-arrival order
+// reduction is associative and commutative by construction — the per-node
+// stats are a set keyed by node id, the eviction total is an integer sum,
+// and the root's merged histogram is integer bucket sums over that set — so
+// the root's plan is bit-identical to the flat computation over the same
+// summary set, for any fanout and any partial-arrival order
 // (tests/epoch_tree_test.cc holds this across N, fanout, permutations).
 
 // The sparse wire form of one summary: its nonzero age buckets + evictions.
@@ -106,9 +107,10 @@ uint64_t SparseCountAtOrAbove(const EpochNodeStat& stat, uint64_t threshold);
 void AccumulateAgeHistogram(const FrameTable& frames, SimTime now,
                             double global_age_boost, LogHistogram* out);
 
-// Computes the plan from an already-reduced partial. ComputeEpochPlan is
-// implemented as a fold into one partial followed by this function, so the
-// two can never drift apart.
+// Computes the plan from an already-reduced partial, rebuilding the merged
+// age histogram from its per-node stats (O(total nonzero buckets)).
+// ComputeEpochPlan is implemented as a fold into one partial followed by
+// this function, so the two can never drift apart.
 EpochPlan ComputeEpochPlanFromPartial(const EpochConfig& config,
                                       uint64_t epoch, uint32_t num_nodes,
                                       const EpochPartial& partial,

@@ -725,7 +725,7 @@ void GmsPolicy::SendPartialUp() {
              tree_acc_.nodes.size());
     Send(tree_parent_, kMsgEpochPartial,
          EpochPartialBytes(config_.costs.header_size, tree_acc_),
-         Boxed<EpochPartial>(std::move(tree_acc_)));
+         std::move(tree_acc_));
     SpanEnd(tracer_, sim_->now(), self_, tree_span_, SpanStatus::kDone,
             tree_epoch_);
     tree_span_ = SpanRef{};
@@ -1273,7 +1273,7 @@ bool GmsPolicy::HandleMessage(const Datagram& dgram) {
       HandleEpochSummary(*dgram.payload.get<Boxed<EpochSummary>>());
       return true;
     case kMsgEpochPartial:
-      HandleEpochPartial(*dgram.payload.get<Boxed<EpochPartial>>());
+      HandleEpochPartial(dgram.payload.get<EpochPartial>());
       return true;
     case kMsgEpochParams:
       HandleEpochParams(dgram.payload.get<EpochParams>());

@@ -170,16 +170,20 @@ struct EpochNodeStat {
   std::vector<std::pair<uint16_t, uint64_t>> buckets;  // (index, count)
 };
 
-// One subtree's contribution to an epoch: the premerged age histogram and
-// eviction total (maintained incrementally so interior nodes and the root
-// pay O(children), not O(subtree)), plus the per-node sparse stats the root
-// needs for weights. Merge members are defined in epoch.cc next to
-// ComputeEpochPlan; both fold duplicates idempotently, so duplicated or
-// overlapping deliveries (retry, chaos) cannot double-count a node.
+// One subtree's contribution to an epoch: the eviction total (maintained
+// incrementally so the root reads it without a walk) and the per-node
+// sparse stats. There is no premerged age histogram: the root rebuilds the
+// merged one from the stats it already walks for the weights
+// (ComputeEpochPlanFromPartial), so a partial costs memory per covered
+// node's nonzero buckets, not per histogram bucket. Merge members are
+// defined in epoch.cc next to ComputeEpochPlan; both fold duplicates
+// idempotently, so duplicated or overlapping deliveries (retry, chaos)
+// cannot double-count a node. At 48 bytes it rides inline in
+// MessagePayload; its vector relocates by memcpy like EpochParams'
+// shared_ptr.
 struct EpochPartial {
   uint64_t epoch = 0;
   NodeId from;
-  LogHistogram ages;        // == sum of every expanded nodes[i] histogram
   uint64_t evictions = 0;   // == sum of every nodes[i].evictions
   std::vector<EpochNodeStat> nodes;
 
@@ -320,8 +324,11 @@ inline uint32_t EpochParamsBytes(uint32_t header, size_t num_nodes) {
   return header + 28 + static_cast<uint32_t>(num_nodes) * 4;
 }
 
-// A partial carries the premerged histogram plus, per covered node, a small
-// fixed part (id + eviction count) and its nonzero (bucket, count) pairs.
+// A partial is charged as the tree protocol's wire format: a premerged
+// histogram plus, per covered node, a small fixed part (id + eviction count)
+// and its nonzero (bucket, count) pairs. The in-memory EpochPartial carries
+// no merged histogram (the root rebuilds it from the per-node pairs), but
+// the charge keeps it, so simulated traffic is that of the specified format.
 inline uint32_t EpochPartialBytes(uint32_t header, const EpochPartial& p) {
   uint32_t bytes = header + 16 + static_cast<uint32_t>(LogHistogram::kWireSize);
   for (const EpochNodeStat& n : p.nodes) {
@@ -339,11 +346,12 @@ inline uint32_t RepublishBytes(uint32_t header, size_t num_entries) {
   return header + static_cast<uint32_t>(num_entries) * 24;
 }
 
-// Deep-copying heap box. EpochSummary carries a 1.5 KB LogHistogram; boxing
-// it keeps sizeof(MessagePayload) — and with it every Datagram, every
-// delivery closure, every SeqWindow slot — under a cache line. Epoch
-// summaries are per-epoch control traffic, so the box's allocation is far
-// off the per-page hot path.
+// Deep-copying heap box for the one payload too big to ride inline:
+// EpochSummary carries a dense 1.5 KB LogHistogram, and boxing it keeps
+// sizeof(MessagePayload) — and with it every Datagram, every delivery
+// closure, every SeqWindow slot — under 80 bytes. Only the flat round's
+// leaves and the re-request sweep send summaries, once per epoch, far off
+// the per-page hot path.
 template <typename T>
 class Boxed {
  public:
@@ -395,7 +403,7 @@ using MessagePayload =
                 Boxed<EpochSummary>, EpochParams, EpochStale, JoinReq,
                 MemberUpdate, Heartbeat, HeartbeatAck, NfsReadReq,
                 NfsReadReply, Republish, GcdInvalidate, ProtoAck, WriteBack,
-                NchanceForward, Boxed<EpochPartial>>;
+                NchanceForward, EpochPartial>;
 
 static_assert(sizeof(MessagePayload) <= 80,
               "keep Datagram contiguous and small: box oversized messages");

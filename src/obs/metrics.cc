@@ -43,16 +43,20 @@ uint64_t LatencyHistogram::BucketLowerBound(int i) {
 }
 
 void LatencyHistogram::Merge(const LatencyHistogram& other) {
-  for (int i = 0; i < kNumBuckets; i++) {
-    buckets_[static_cast<size_t>(i)] += other.buckets_[static_cast<size_t>(i)];
+  if (other.buckets_.empty()) {
+    return;  // nothing recorded: count_ is 0 too
+  }
+  if (buckets_.empty()) {
+    buckets_.resize(kNumBuckets);
+  }
+  for (size_t i = 0; i < kNumBuckets; i++) {
+    buckets_[i] += other.buckets_[i];
   }
   count_ += other.count_;
 }
 
 void LatencyHistogram::Reset() {
-  for (auto& b : buckets_) {
-    b = 0;
-  }
+  std::fill(buckets_.begin(), buckets_.end(), 0);
   count_ = 0;
 }
 
@@ -72,6 +76,7 @@ SimTime LatencyHistogram::Quantile(double q) const {
   if (rank == 0) {
     rank = 1;
   }
+  // count_ > 0, so the buckets are sized.
   uint64_t cum = 0;
   for (int i = 0; i < kNumBuckets; i++) {
     cum += buckets_[static_cast<size_t>(i)];

@@ -40,22 +40,31 @@ namespace gms {
 // Log-bucketed latency histogram over nanosecond values. Quarter-octave
 // buckets (4 per power of two) above 4 ns: a bucket's half-width is at most
 // 12.5% of its lower bound, so Quantile() is within 12.5% of the true
-// sample quantile. Recording is one array increment — allocation-free and
-// cheap enough for every access/fault/getpage completion.
+// sample quantile. The bucket array is sized on the first Record or Merge:
+// a histogram that never records (an idle node's fault and getpage
+// latencies) costs 32 bytes, not 1.3 KB, and reads as all zeros. After
+// that, recording is one array increment — allocation-free and cheap
+// enough for every access/fault/getpage completion.
 class LatencyHistogram {
  public:
   static constexpr int kNumBuckets = 160;  // covers [0, ~1100 s)
 
   void Record(SimTime latency_ns) {
+    if (buckets_.empty()) {
+      buckets_.resize(kNumBuckets);
+    }
     buckets_[static_cast<size_t>(
         BucketIndex(latency_ns < 0 ? 0 : static_cast<uint64_t>(latency_ns)))]++;
     count_++;
   }
   void Merge(const LatencyHistogram& other);
+  // Zeroes the counts; sized bucket storage is kept for reuse.
   void Reset();
 
   uint64_t count() const { return count_; }
-  uint64_t bucket(int i) const { return buckets_[static_cast<size_t>(i)]; }
+  uint64_t bucket(int i) const {
+    return buckets_.empty() ? 0 : buckets_[static_cast<size_t>(i)];
+  }
 
   // Inclusive lower bound of bucket i's value range (upper bound is the next
   // bucket's lower bound; the last bucket is open-ended).
@@ -68,8 +77,8 @@ class LatencyHistogram {
   SimTime Quantile(double q) const;
 
  private:
-  uint64_t buckets_[kNumBuckets] = {};
   uint64_t count_ = 0;
+  std::vector<uint64_t> buckets_;  // empty until the first sample
 };
 
 enum class MetricKind { kValue, kCounter, kStat, kLatency };

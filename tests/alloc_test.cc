@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "src/cluster/cluster.h"
+#include "src/common/histogram.h"
 #include "src/common/node_id.h"
 #include "src/core/cache_engine.h"
 #include "src/core/directory.h"
@@ -341,9 +342,12 @@ TEST(AllocTest, SpanPropagationIsAllocationFreeAtSteadyState) {
   EXPECT_EQ(window.frees(), 0u);
 }
 
-// Latency histograms sit on the access/fault/getpage completion paths;
-// recording is one array increment across the full value range, including
-// the saturating top bucket and the negative clamp.
+// Latency histograms sit on the access/fault/getpage completion paths. The
+// first sample sizes the bucket array (one allocation, so a histogram that
+// never records costs no buckets); every later sample is one array
+// increment across the full value range, including the saturating top
+// bucket and the negative clamp, and so are samples after Reset(), which
+// keeps the storage.
 TEST(AllocTest, HistogramRecordIsAllocationFree) {
   LatencyHistogram hist;
   const AllocWindow window;
@@ -354,7 +358,19 @@ TEST(AllocTest, HistogramRecordIsAllocationFree) {
   }
   hist.Record(-5);
   EXPECT_EQ(hist.count(), 63u * 1000u + 1u);
-  EXPECT_EQ(window.allocs(), 0u) << "LatencyHistogram::Record allocated";
+  EXPECT_EQ(window.allocs(), 1u)
+      << "LatencyHistogram::Record allocated past its first sample";
+
+  hist.Reset();
+  const AllocWindow after_reset;
+  for (int64_t e = 0; e < 63; ++e) {
+    hist.Record(int64_t{1} << e);
+  }
+  hist.Record(-5);
+  EXPECT_EQ(hist.count(), 64u);
+  EXPECT_EQ(after_reset.allocs(), 0u)
+      << "LatencyHistogram::Record allocated after Reset()";
+  EXPECT_EQ(after_reset.frees(), 0u);
 }
 
 // The ping-pong trip again, now with a live tracer attached to the network:
@@ -725,7 +741,9 @@ struct EpochAllocs {
   double bytes_per_node_epoch = 0;
 };
 
-EpochAllocs MeasureIdleTreeEpochs(uint32_t nodes) {
+// An idle GMS cluster of 16-frame nodes on a fanout-16 epoch tree with
+// 200-400 ms epochs.
+ClusterConfig IdleTreeConfig(uint32_t nodes) {
   ClusterConfig config;
   config.num_nodes = nodes;
   config.policy = PolicyKind::kGms;
@@ -735,7 +753,11 @@ EpochAllocs MeasureIdleTreeEpochs(uint32_t nodes) {
   config.gms.epoch.t_max = Milliseconds(400);
   config.gms.epoch.summary_timeout = Milliseconds(100);
   config.gms.epoch.fanout = 16;
-  Cluster cluster(config);
+  return config;
+}
+
+EpochAllocs MeasureIdleTreeEpochs(uint32_t nodes) {
+  Cluster cluster(IdleTreeConfig(nodes));
   cluster.Start();
   const GmsAgent& root = *cluster.gms_agent(NodeId{0});
   auto run_to_epoch = [&](uint64_t epoch) {
@@ -763,6 +785,34 @@ TEST(AllocTest, EpochHeapTrafficPerNodeDoesNotGrowWithClusterSize) {
   EXPECT_LE(large.bytes_per_node_epoch, 2.0 * small.bytes_per_node_epoch)
       << "250 nodes: " << small.bytes_per_node_epoch
       << " bytes per node-epoch, 2000 nodes: " << large.bytes_per_node_epoch;
+}
+
+// The absolute bound behind the relative one above: an idle node's share of
+// an epoch round costs fewer heap bytes than one dense LogHistogram. A
+// 16-frame node has a handful of nonzero age buckets, and every structure
+// it sends up the tree (its sparse stat, the partial it folds into) is
+// sized by those, not by the histogram's 192 buckets.
+TEST(AllocTest, EpochHeapBytesPerIdleNodeStayUnderOneDenseHistogram) {
+  for (uint32_t nodes : {250u, 2000u}) {
+    const EpochAllocs a = MeasureIdleTreeEpochs(nodes);
+    EXPECT_LE(a.bytes_per_node_epoch, static_cast<double>(sizeof(LogHistogram)))
+        << nodes << " nodes: " << a.bytes_per_node_epoch
+        << " heap bytes per node-epoch";
+  }
+}
+
+// Construction pays for what a node holds, not for worst-case buffers: an
+// idle node's latency histograms have no buckets until they record, and its
+// epoch accumulators carry no dense histogram.
+TEST(AllocTest, IdleClusterConstructionCostsUnderEightKiBPerNode) {
+  constexpr uint32_t kNodes = 1000;
+  const ClusterConfig config = IdleTreeConfig(kNodes);
+  const AllocWindow window;
+  const Cluster cluster(config);
+  const double bytes_per_node =
+      static_cast<double>(window.bytes()) / kNodes;
+  EXPECT_LE(bytes_per_node, 8.0 * 1024)
+      << bytes_per_node << " heap bytes per node to construct the cluster";
 }
 
 TEST(AllocTest, CountersActuallyCount) {

@@ -71,19 +71,16 @@ EpochPartial ReduceSubtree(const EpochTree& tree, size_t pos,
   return acc;
 }
 
-// ages/evictions must stay exactly the sums over the sparse per-node stats —
-// the invariant every merge path preserves.
+// evictions must stay exactly the sum over the sparse per-node stats — the
+// invariant every merge path preserves. (The merged age histogram is not
+// stored: the root rebuilds it from these stats, and the tree-vs-flat plan
+// identity below pins the result.)
 void ExpectPartialConsistent(const EpochPartial& p) {
-  LogHistogram sum;
   uint64_t evictions = 0;
   for (const EpochNodeStat& n : p.nodes) {
-    sum.Merge(ExpandAges(n));
     evictions += n.evictions;
   }
   ASSERT_EQ(evictions, p.evictions);
-  for (int i = 0; i < LogHistogram::kNumBuckets; i++) {
-    ASSERT_EQ(sum.bucket(i), p.ages.bucket(i)) << "bucket " << i;
-  }
 }
 
 void ExpectPlansIdentical(const EpochPlan& a, const EpochPlan& b) {

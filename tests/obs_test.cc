@@ -90,9 +90,14 @@ TEST(LatencyHistogramTest, MergeEqualsConcatenation) {
   EXPECT_EQ(a.Quantile(0.5), both.Quantile(0.5));
 }
 
+// A never-recorded histogram has no bucket storage yet; it must read exactly
+// like an all-zero one.
 TEST(LatencyHistogramTest, EmptyHistogramQuantilesAreZero) {
   LatencyHistogram hist;
   EXPECT_EQ(hist.count(), 0u);
+  for (int i = 0; i < LatencyHistogram::kNumBuckets; i++) {
+    ASSERT_EQ(hist.bucket(i), 0u) << "bucket " << i;
+  }
   for (double q : {0.0, 0.5, 0.99, 1.0}) {
     EXPECT_EQ(hist.Quantile(q), 0) << "q=" << q;
   }
@@ -135,6 +140,53 @@ TEST(LatencyHistogramTest, ResetAndNegativeClamp) {
   hist.Reset();
   EXPECT_EQ(hist.count(), 0u);
   EXPECT_EQ(hist.Quantile(0.5), 0);
+}
+
+TEST(LatencyHistogramTest, MergingNeverRecordedHistograms) {
+  const LatencyHistogram never;
+  // Empty into empty stays empty.
+  LatencyHistogram empty;
+  empty.Merge(never);
+  EXPECT_EQ(empty.count(), 0u);
+  EXPECT_EQ(empty.bucket(0), 0u);
+  EXPECT_EQ(empty.Quantile(0.5), 0);
+
+  // Empty into non-empty changes nothing.
+  LatencyHistogram some;
+  some.Record(Microseconds(3));
+  some.Record(Milliseconds(2));
+  const SimTime p50 = some.Quantile(0.5);
+  const SimTime p99 = some.Quantile(0.99);
+  some.Merge(never);
+  EXPECT_EQ(some.count(), 2u);
+  EXPECT_EQ(some.Quantile(0.5), p50);
+  EXPECT_EQ(some.Quantile(0.99), p99);
+
+  // Non-empty into never-recorded copies the samples over.
+  LatencyHistogram target;
+  target.Merge(some);
+  EXPECT_EQ(target.count(), 2u);
+  for (int i = 0; i < LatencyHistogram::kNumBuckets; i++) {
+    ASSERT_EQ(target.bucket(i), some.bucket(i)) << "bucket " << i;
+  }
+  EXPECT_EQ(target.Quantile(0.99), p99);
+}
+
+TEST(LatencyHistogramTest, CopiesOfNeverRecordedAndRecordedAreIndependent) {
+  const LatencyHistogram never;
+  LatencyHistogram copy = never;
+  EXPECT_EQ(copy.count(), 0u);
+  EXPECT_EQ(copy.bucket(5), 0u);
+  copy.Record(5);
+  EXPECT_EQ(copy.bucket(5), 1u);
+  EXPECT_EQ(never.count(), 0u);
+  EXPECT_EQ(never.bucket(5), 0u);
+
+  LatencyHistogram again = copy;
+  again.Record(5);
+  EXPECT_EQ(again.bucket(5), 2u);
+  EXPECT_EQ(copy.bucket(5), 1u);
+  EXPECT_EQ(again.Quantile(0.5), copy.Quantile(0.5));
 }
 
 // --------------------------------------------------------------------------
