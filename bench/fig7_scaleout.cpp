@@ -84,7 +84,9 @@ int main(int argc, char** argv) {
   // (EXPERIMENTS.md walks through the 10000-node case). The
   // epoch-scale-smoke CI job gates the JSON emitted by --emit_bench_json
   // through tools/check_bench_regression.py --max-epoch-root-cost and, at
-  // 10000 nodes, --max-peak-rss-mb.
+  // 10000 nodes, --max-peak-rss-mb. --metrics_out=FILE snapshots the metrics
+  // registry every 250 ms of simulated time and writes its JSON export to
+  // FILE.
   const auto scaleout_nodes =
       static_cast<uint32_t>(FlagValue(argc, argv, "scaleout_nodes", 0));
   if (scaleout_nodes > 0) {
@@ -92,7 +94,8 @@ int main(int argc, char** argv) {
     const auto epochs =
         static_cast<uint64_t>(FlagValue(argc, argv, "epochs", 3));
     const EpochScaleoutResult r =
-        RunEpochScaleout(scaleout_nodes, fanout, epochs);
+        RunEpochScaleout(scaleout_nodes, fanout, epochs,
+                         FlagString(argc, argv, "metrics_out"));
     std::printf("=== Epoch scale-out: %u nodes, fanout %u (0 = flat) ===\n",
                 r.nodes, r.fanout);
     std::printf("epochs completed:           %llu (%.2f sim-s)\n",

@@ -276,15 +276,65 @@ const LatencyHistogram* MetricsRegistry::LatencyAt(size_t index) const {
 }
 
 void MetricsRegistry::SnapshotEpoch(SimTime now) {
-  Snapshot snap;
-  snap.time = now;
-  snap.values.reserve(size());
+  // One pass reads every metric, marks the changed ones and updates the
+  // dense row; a second packs the changed values into an exact-size array.
+  // A metric registered since the last snapshot enters the row as 0.
+  SnapshotDelta d;
+  d.time = now;
+  d.width = size();
+  last_.resize(d.width);
+  const size_t words = (d.width + 63) / 64;
+  d.changed.assign(words, 0);
+  size_t i = 0;
   for (const Family& f : families_) {
     for (const MetricField& field : f.schema->fields()) {
-      snap.values.push_back(field.Primary(f.ctx));
+      const uint64_t v = field.Primary(f.ctx);
+      if (v != last_[i]) {
+        last_[i] = v;
+        d.changed[i / 64] |= uint64_t{1} << (i % 64);
+      }
+      i++;
     }
   }
-  snapshots_.push_back(std::move(snap));
+  d.rank.resize(words);
+  uint32_t total = 0;
+  for (size_t w = 0; w < words; w++) {
+    d.rank[w] = total;
+    total += static_cast<uint32_t>(std::popcount(d.changed[w]));
+  }
+  d.values.reserve(total);
+  for (size_t w = 0; w < words; w++) {
+    for (uint64_t bits = d.changed[w]; bits != 0; bits &= bits - 1) {
+      d.values.push_back(
+          last_[w * 64 + static_cast<size_t>(std::countr_zero(bits))]);
+    }
+  }
+  deltas_.push_back(std::move(d));
+}
+
+bool MetricsRegistry::SnapshotDelta::Read(size_t i, uint64_t* v) const {
+  if (i >= width) {
+    return false;
+  }
+  const uint64_t word = changed[i / 64];
+  const uint64_t bit = uint64_t{1} << (i % 64);
+  if ((word & bit) == 0) {
+    return false;
+  }
+  const auto below = static_cast<size_t>(std::popcount(word & (bit - 1)));
+  *v = values[rank[i / 64] + below];
+  return true;
+}
+
+uint64_t MetricsRegistry::SnapshotValue(size_t k, size_t i) const {
+  // Widths never shrink, so once i is past one, it is past all earlier.
+  uint64_t v = 0;
+  for (size_t j = k + 1; j-- > 0;) {
+    if (i >= deltas_[j].width || deltas_[j].Read(i, &v)) {
+      break;
+    }
+  }
+  return v;
 }
 
 std::vector<uint32_t> MetricsRegistry::ExportOrder() const {
@@ -336,7 +386,7 @@ std::string MetricsRegistry::ToJson() const {
   const std::vector<uint32_t> order = ExportOrder();
   // One reservation bounds the whole export, so the string never regrows.
   // Every name appears twice (metrics map and series), quoted and escaped.
-  const size_t num_snaps = snapshots_.size();
+  const size_t num_snaps = deltas_.size();
   size_t bound = 256 + num_snaps * kSeriesValueMaxBytes;
   for (const Family& f : families_) {
     const MetricSchema& schema = *f.schema;
@@ -409,11 +459,13 @@ std::string MetricsRegistry::ToJson() const {
     if (s > 0) {
       out += ", ";
     }
-    AppendInt(&out, snapshots_[s].time);
+    AppendInt(&out, deltas_[s].time);
   }
   out += "],\n    \"series\": {\n";
   // Each series row is formatted with raw pointer writes and appended whole:
-  // per-value std::string appends would cost more than the digits.
+  // per-value std::string appends would cost more than the digits. A row
+  // walks the metric's snapshots forward, carrying its value between
+  // changes; before the metric existed it reads 0.
   std::vector<char> row(num_snaps * kSeriesValueMaxBytes);
   char* const row_end = row.data() + row.size();
   for (size_t oi = 0; oi < order.size(); oi++) {
@@ -422,12 +474,14 @@ std::string MetricsRegistry::ToJson() const {
     append_name(i);
     out += ": [";
     char* p = row.data();
+    uint64_t v = 0;
     for (size_t s = 0; s < num_snaps; s++) {
       if (s > 0) {
         *p++ = ',';
         *p++ = ' ';
       }
-      p = std::to_chars(p, row_end, snapshots_[s].values[i]).ptr;
+      deltas_[s].Read(i, &v);
+      p = std::to_chars(p, row_end, v).ptr;
     }
     out.append(row.data(), static_cast<size_t>(p - row.data()));
     out += "]";

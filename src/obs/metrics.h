@@ -17,8 +17,21 @@
 //   * SnapshotEpoch() appends the current cumulative value of every metric
 //     to a time series (the per-epoch plumbing behind Figures 8/11-style
 //     curves), cheap enough to run every simulated epoch;
+//   * the series stores only what changed. The registry keeps one dense row,
+//     the last snapshot's values; each snapshot stores its time, the number
+//     of metrics it covers, a bitmap of the metrics whose primary value
+//     differs from the previous snapshot's (the first snapshot, and the
+//     first after ClearSnapshots(), differ from zero), one uint32 rank
+//     prefix per 64-bit bitmap word, and the changed values packed in index
+//     order. A snapshot of M metrics of which C changed costs M/8 + M/16 +
+//     8C bytes, not 8M: at 1000 nodes, an idle epoch's 39001 metrics take
+//     about 40 KB instead of 312 KB. A metric registered after a snapshot
+//     reads 0 in it;
 //   * ToJson() exports current values, derived statistics (mean/stddev,
-//     latency quantiles), and the full snapshot series.
+//     latency quantiles), and the full snapshot series. It walks each
+//     metric's series forward and carries the last value, so each exported
+//     value costs O(1); random access through snapshots() walks back to the
+//     metric's last change, O(snapshots) at worst.
 #ifndef SRC_OBS_METRICS_H_
 #define SRC_OBS_METRICS_H_
 
@@ -207,12 +220,63 @@ class MetricsRegistry {
   // tile the run with no loss or double counting.
   void SnapshotEpoch(SimTime now);
 
-  struct Snapshot {
-    SimTime time = 0;
-    std::vector<uint64_t> values;  // registration order
+  // Read-only view of the series. Element k has .time and .values;
+  // .values has size() (the metrics registered at snapshot k) and
+  // operator[], which walks back to the metric's last change and reads 0
+  // for a metric registered after snapshot k. Views point into the
+  // registry: they are valid while it lives and until ClearSnapshots().
+  class SnapshotValues {
+   public:
+    size_t size() const { return reg_->deltas_[k_].width; }
+    uint64_t operator[](size_t i) const { return reg_->SnapshotValue(k_, i); }
+
+   private:
+    friend class MetricsRegistry;
+    SnapshotValues(const MetricsRegistry* reg, size_t k) : reg_(reg), k_(k) {}
+    const MetricsRegistry* reg_;
+    size_t k_;
   };
-  const std::vector<Snapshot>& snapshots() const { return snapshots_; }
-  void ClearSnapshots() { snapshots_.clear(); }
+  struct Snapshot {
+    SimTime time;
+    SnapshotValues values;
+  };
+  class SnapshotList {
+   public:
+    class Iterator {
+     public:
+      Snapshot operator*() const { return SnapshotList(reg_)[k_]; }
+      Iterator& operator++() {
+        k_++;
+        return *this;
+      }
+      bool operator==(const Iterator& o) const { return k_ == o.k_; }
+
+     private:
+      friend class SnapshotList;
+      Iterator(const MetricsRegistry* reg, size_t k) : reg_(reg), k_(k) {}
+      const MetricsRegistry* reg_;
+      size_t k_;
+    };
+
+    size_t size() const { return reg_->deltas_.size(); }
+    bool empty() const { return size() == 0; }
+    Snapshot operator[](size_t k) const {
+      return Snapshot{reg_->deltas_[k].time, SnapshotValues(reg_, k)};
+    }
+    Snapshot back() const { return (*this)[size() - 1]; }
+    Iterator begin() const { return Iterator(reg_, 0); }
+    Iterator end() const { return Iterator(reg_, size()); }
+
+   private:
+    friend class MetricsRegistry;
+    explicit SnapshotList(const MetricsRegistry* reg) : reg_(reg) {}
+    const MetricsRegistry* reg_;
+  };
+  SnapshotList snapshots() const { return SnapshotList(this); }
+  void ClearSnapshots() {
+    deltas_.clear();
+    last_.clear();
+  }
 
   // JSON export: {"schema":1, "metrics":{...}, "snapshots":{...}}. Metric
   // entries carry kind-specific fields (counter bytes, Welford mean/stddev,
@@ -236,6 +300,18 @@ class MetricsRegistry {
     size_t operator()(const Family& f) const { return (*this)(f.prefix); }
   };
   using Getter = std::variant<ValueFn, CounterFn, StatFn, LatencyFn>;
+  // One stored snapshot: the metrics whose value changed since the previous
+  // snapshot, and their new values.
+  struct SnapshotDelta {
+    SimTime time = 0;
+    size_t width = 0;               // metrics registered at the snapshot
+    std::vector<uint64_t> changed;  // bit i set: metric i changed
+    std::vector<uint32_t> rank;     // set bits in the words before word w
+    std::vector<uint64_t> values;   // the changed values, in index order
+
+    // If metric i changed at this snapshot, stores its new value in *v.
+    bool Read(size_t i, uint64_t* v) const;
+  };
 
   template <typename Fn>
   bool RegisterGetter(std::string name, Fn fn);
@@ -246,13 +322,15 @@ class MetricsRegistry {
   }
   std::string NameAt(size_t index) const;
   std::vector<uint32_t> ExportOrder() const;
+  uint64_t SnapshotValue(size_t k, size_t i) const;
 
   std::vector<Family> families_;
   SlotIndex<Family, PrefixHash> prefix_index_;  // over families_' prefixes
   std::vector<uint32_t> owner_;  // metric index -> family
   std::deque<Getter> getters_;  // one-off metrics' contexts (stable)
   mutable std::vector<std::string> names_;  // built on request
-  std::vector<Snapshot> snapshots_;
+  std::vector<SnapshotDelta> deltas_;
+  std::vector<uint64_t> last_;  // values at the last snapshot
 };
 
 }  // namespace gms

@@ -815,6 +815,38 @@ TEST(AllocTest, IdleClusterConstructionCostsUnderEightKiBPerNode) {
       << bytes_per_node << " heap bytes per node to construct the cluster";
 }
 
+// A snapshot stores what changed since the previous one, not a dense row of
+// every metric: on an idle cluster, where a node's epoch and traffic
+// counters move and most of its 39 metrics stay at zero, a SnapshotEpoch
+// costs at most a quarter of a dense row's 8 bytes per metric. The first
+// snapshot (compared with zero, and sizing the registry's one dense row)
+// is warm-up; the window covers only the SnapshotEpoch calls.
+TEST(AllocTest, SnapshotHeapBytesScaleWithChangedValues) {
+  for (uint32_t nodes : {250u, 1000u}) {
+    Cluster cluster(IdleTreeConfig(nodes));
+    cluster.Start();
+    MetricsRegistry& metrics = cluster.metrics();
+    auto snapshot = [&] {
+      cluster.sim().RunFor(Milliseconds(250));
+      const AllocWindow window;
+      metrics.SnapshotEpoch(cluster.sim().now());
+      return window.bytes();
+    };
+    snapshot();
+    snapshot();
+    constexpr int kMeasured = 8;
+    uint64_t bytes = 0;
+    for (int k = 0; k < kMeasured; k++) {
+      bytes += snapshot();
+    }
+    const double per_snapshot = static_cast<double>(bytes) / kMeasured;
+    const double dense_row = 8.0 * static_cast<double>(metrics.size());
+    EXPECT_LE(per_snapshot, dense_row / 4)
+        << nodes << " nodes: " << per_snapshot << " heap bytes per snapshot of "
+        << metrics.size() << " metrics";
+  }
+}
+
 TEST(AllocTest, CountersActuallyCount) {
   // Sanity-check the hook itself so a silent linker change (the override not
   // taking effect) cannot turn the suite into a vacuous pass.

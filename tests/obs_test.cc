@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstring>
+#include <deque>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -487,10 +490,162 @@ TEST(MetricsRegistryTest, SnapshotSeriesTracksCumulativeValues) {
   reg.SnapshotEpoch(Milliseconds(2));
   ASSERT_EQ(reg.snapshots().size(), 2u);
   EXPECT_EQ(reg.snapshots()[0].time, Milliseconds(1));
-  EXPECT_EQ(reg.snapshots()[0].values, std::vector<uint64_t>{10});
-  EXPECT_EQ(reg.snapshots()[1].values, std::vector<uint64_t>{25});
+  ASSERT_EQ(reg.snapshots()[0].values.size(), 1u);
+  EXPECT_EQ(reg.snapshots()[0].values[0], 10u);
+  ASSERT_EQ(reg.snapshots()[1].values.size(), 1u);
+  EXPECT_EQ(reg.snapshots()[1].values[0], 25u);
   reg.ClearSnapshots();
   EXPECT_TRUE(reg.snapshots().empty());
+}
+
+// A metric registered between two snapshots did not exist at the first: it
+// reads 0 there, through snapshots() and in the exported series.
+TEST(MetricsRegistryTest, MetricRegisteredAfterASnapshotReadsZeroBeforeIt) {
+  MetricsRegistry reg;
+  uint64_t a = 5;
+  uint64_t b = 9;
+  reg.RegisterValue("a", [&] { return a; });
+  reg.SnapshotEpoch(Milliseconds(1));
+  reg.RegisterValue("b", [&] { return b; });
+  reg.SnapshotEpoch(Milliseconds(2));
+  reg.SnapshotEpoch(Milliseconds(3));
+  const auto snaps = reg.snapshots();
+  ASSERT_EQ(snaps.size(), 3u);
+  EXPECT_EQ(snaps[0].values.size(), 1u);
+  EXPECT_EQ(snaps[0].values[1], 0u);
+  EXPECT_EQ(snaps[1].values.size(), 2u);
+  EXPECT_EQ(snaps[1].values[0], 5u);
+  EXPECT_EQ(snaps[1].values[1], 9u);
+  EXPECT_EQ(snaps[2].values[1], 9u);
+  const std::string json = reg.ToJson();
+  EXPECT_NE(json.find("\"a\": [5, 5, 5]"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"b\": [0, 9, 9]"), std::string::npos) << json;
+}
+
+using Triple = std::array<uint64_t, 3>;
+
+template <size_t F>
+uint64_t TripleField(const void* ctx) {
+  return (*static_cast<const Triple*>(ctx))[F];
+}
+
+// The change-only series against a dense shadow the test keeps itself:
+// seeded registries of one-off metrics and three-field families registered
+// between snapshots, values that repeat, change, return to 0 and reach
+// UINT64_MAX, and a ClearSnapshots() midway. Every snapshot value read
+// through snapshots() and every exported series value must match.
+TEST(MetricsRegistryTest, ChangeOnlySeriesMatchesDenseShadow) {
+  static const MetricSchema kSchema({
+      MetricField("a", &TripleField<0>),
+      MetricField("b", &TripleField<1>),
+      MetricField("c", &TripleField<2>),
+  });
+  for (uint64_t seed = 1; seed <= 24; seed++) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    MetricsRegistry reg;
+    std::deque<uint64_t> singles;     // one-off metrics' values
+    std::deque<Triple> triples;       // families' values
+    std::vector<uint64_t*> by_index;  // metric index -> its value
+    struct Row {
+      SimTime time;
+      std::vector<uint64_t> values;
+    };
+    std::vector<Row> shadow;
+    auto random_value = [&]() -> uint64_t {
+      switch (rng.NextBelow(4)) {
+        case 0:
+          return 0;
+        case 1:
+          return UINT64_MAX;
+        case 2:
+          return rng.Next();
+        default:
+          return rng.NextBelow(1000);
+      }
+    };
+    auto register_some = [&] {
+      const uint64_t n = rng.NextBelow(9);
+      for (uint64_t k = 0; k < n; k++) {
+        const std::string id = std::to_string(by_index.size());
+        if (rng.NextBelow(3) == 0) {
+          Triple& t = triples.emplace_back();
+          for (uint64_t& v : t) {
+            v = random_value();
+            by_index.push_back(&v);
+          }
+          ASSERT_TRUE(reg.RegisterFamily("f" + id + "/", kSchema, &t));
+        } else {
+          uint64_t* cell = &singles.emplace_back(random_value());
+          ASSERT_TRUE(reg.RegisterValue("m" + id, [cell] { return *cell; }));
+          by_index.push_back(cell);
+        }
+      }
+    };
+    auto check = [&] {
+      const auto snaps = reg.snapshots();
+      ASSERT_EQ(snaps.size(), shadow.size());
+      size_t k = 0;
+      for (const auto& snap : snaps) {
+        const Row& row = shadow[k];
+        ASSERT_EQ(snap.time, row.time);
+        ASSERT_EQ(snap.values.size(), row.values.size()) << "snapshot " << k;
+        for (size_t i = 0; i < row.values.size(); i++) {
+          ASSERT_EQ(snap.values[i], row.values[i])
+              << "snapshot " << k << " metric " << reg.names()[i];
+        }
+        k++;
+      }
+      // The exported times and series, spelled out from the shadow.
+      std::vector<size_t> order(reg.size());
+      std::iota(order.begin(), order.end(), size_t{0});
+      const std::vector<std::string>& names = reg.names();
+      std::sort(order.begin(), order.end(),
+                [&](size_t x, size_t y) { return names[x] < names[y]; });
+      std::string want = "    \"times_ns\": [";
+      for (size_t r = 0; r < shadow.size(); r++) {
+        want += (r > 0 ? ", " : "") + std::to_string(shadow[r].time);
+      }
+      want += "],\n    \"series\": {\n";
+      for (size_t oi = 0; oi < order.size(); oi++) {
+        const size_t i = order[oi];
+        want += "      \"" + names[i] + "\": [";
+        for (size_t r = 0; r < shadow.size(); r++) {
+          const std::vector<uint64_t>& v = shadow[r].values;
+          want += (r > 0 ? ", " : "") + std::to_string(i < v.size() ? v[i] : 0);
+        }
+        want += oi + 1 < order.size() ? "],\n" : "]\n";
+      }
+      want += "    }\n  }\n}\n";
+      const std::string json = reg.ToJson();
+      const size_t at = json.find("    \"times_ns\"");
+      ASSERT_NE(at, std::string::npos);
+      EXPECT_EQ(json.substr(at), want);
+    };
+    constexpr int kSteps = 40;
+    for (int step = 0; step < kSteps; step++) {
+      if (step == kSteps / 2) {
+        check();
+        reg.ClearSnapshots();
+        shadow.clear();
+      }
+      register_some();
+      for (uint64_t* cell : by_index) {
+        if (rng.NextBelow(2) == 0) {  // else the value repeats
+          *cell = random_value();
+        }
+      }
+      const SimTime now = Milliseconds(step + 1);
+      reg.SnapshotEpoch(now);
+      Row row{now, {}};
+      for (const uint64_t* cell : by_index) {
+        row.values.push_back(*cell);
+      }
+      shadow.push_back(std::move(row));
+    }
+    ASSERT_GT(reg.size(), 128u) << "the bitmaps should span several words";
+    check();
+  }
 }
 
 TEST(MetricsRegistryTest, GetterIndirectionSurvivesObjectReplacement) {

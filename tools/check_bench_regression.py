@@ -84,7 +84,8 @@ def check_epoch_scaleout(path, doc, max_root_cost, max_peak_rss_mb=None):
     (plus straggler re-requests), never at O(N). A missing bound is an
     error so CI cannot silently run the job unguarded. With
     --max-peak-rss-mb the process's peak RSS is bounded too: per-node epoch
-    state that grows with N shows up there first (O(N^2) bytes in total).
+    state that grows with N shows up there first (O(N^2) bytes in total),
+    and so does a metrics snapshot store that grows faster than what changes.
     """
     if max_root_cost is None:
         sys.exit(f"{path}: epoch_scaleout doc requires --max-epoch-root-cost")
@@ -116,7 +117,7 @@ def check_epoch_scaleout(path, doc, max_root_cost, max_peak_rss_mb=None):
             failures.append(
                 f"peak RSS {rss:.1f} MB exceeds --max-peak-rss-mb "
                 f"{max_peak_rss_mb:.0f}: per-node epoch state is growing "
-                "with N"
+                "with N, or the metrics snapshots with run length"
             )
     if failures:
         print("\nFAIL: epoch scale-out bound violated:", file=sys.stderr)
