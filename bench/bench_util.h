@@ -2,6 +2,7 @@
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -135,6 +136,9 @@ struct EpochScaleoutResult {
   double root_summary_msgs_per_epoch = 0;
   double root_epoch_cpu_us_per_epoch = 0;
   double sim_s = 0;  // simulated seconds consumed by the rounds
+  // Host seconds from cluster construction through the last round (and the
+  // metrics export, if any): what the point cost to simulate.
+  double wall_s = 0;
 };
 
 // `metrics_out`, when non-empty, dumps the point's metrics registry (with a
@@ -155,6 +159,7 @@ inline EpochScaleoutResult RunEpochScaleout(uint32_t nodes, uint32_t fanout,
   if (!metrics_out.empty()) {
     config.obs.snapshot_interval = Milliseconds(250);
   }
+  const auto t0 = std::chrono::steady_clock::now();
   Cluster cluster(config);
   cluster.Start();
 
@@ -191,6 +196,9 @@ inline EpochScaleoutResult RunEpochScaleout(uint32_t nodes, uint32_t fanout,
       std::fprintf(stderr, "cannot open %s\n", metrics_out.c_str());
     }
   }
+  r.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                           t0)
+                 .count();
   return r;
 }
 

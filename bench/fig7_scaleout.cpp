@@ -84,9 +84,11 @@ int main(int argc, char** argv) {
   // (EXPERIMENTS.md walks through the 10000-node case). The
   // epoch-scale-smoke CI job gates the JSON emitted by --emit_bench_json
   // through tools/check_bench_regression.py --max-epoch-root-cost and, at
-  // 10000 nodes, --max-peak-rss-mb. --metrics_out=FILE snapshots the metrics
-  // registry every 250 ms of simulated time and writes its JSON export to
-  // FILE.
+  // 10000 nodes, --max-peak-rss-mb; the JSON's wall_s (host seconds, never
+  // printed, so stdout stays deterministic) is what bench-smoke's
+  // --max-wall-ratio compares between a change and its base.
+  // --metrics_out=FILE snapshots the metrics registry every 250 ms of
+  // simulated time and writes its JSON export to FILE.
   const auto scaleout_nodes =
       static_cast<uint32_t>(FlagValue(argc, argv, "scaleout_nodes", 0));
   if (scaleout_nodes > 0) {
@@ -125,10 +127,10 @@ int main(int argc, char** argv) {
           "  \"nodes\": %u,\n  \"fanout\": %u,\n  \"epochs\": %llu,\n"
           "  \"root_summary_msgs_per_epoch\": %.3f,\n"
           "  \"root_epoch_cpu_us_per_epoch\": %.3f,\n  \"sim_s\": %.3f,\n"
-          "  \"peak_rss_mb\": %.1f\n}\n",
+          "  \"wall_s\": %.6f,\n  \"peak_rss_mb\": %.1f\n}\n",
           r.nodes, r.fanout, static_cast<unsigned long long>(r.epochs),
           r.root_summary_msgs_per_epoch, r.root_epoch_cpu_us_per_epoch,
-          r.sim_s, peak_rss_mb);
+          r.sim_s, r.wall_s, peak_rss_mb);
       std::fclose(f);
       std::printf("bench json -> %s\n", json_out.c_str());
     }

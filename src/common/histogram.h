@@ -38,6 +38,8 @@ class LogHistogram {
 
   // Inclusive lower bound of bucket i's value range.
   static uint64_t BucketLowerBound(int i);
+  // The bucket Add(value) counts into.
+  static int BucketIndex(uint64_t value);
 
   // Number of recorded values that are >= threshold, counting a bucket as
   // entirely above the threshold when its lower bound is >= threshold.
@@ -56,8 +58,6 @@ class LogHistogram {
   static constexpr uint64_t kWireSize = kNumBuckets * sizeof(uint32_t);
 
  private:
-  static int BucketIndex(uint64_t value);
-
   std::array<uint64_t, kNumBuckets> buckets_ = {};
   uint64_t total_ = 0;
 };

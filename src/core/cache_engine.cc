@@ -627,7 +627,7 @@ void CacheEngine::OnDatagram(Datagram dgram) {
     *slot = SpanBegin(tracer_, sim_->now(), self_, *slot, dgram.type);
   }
   // Interrupt + protocol-stack cost for every received datagram.
-  auto receive = [this, dgram = std::move(dgram)] {
+  auto receive = [this, dgram = std::move(dgram)]() mutable {
     if (!alive_) {
       return;
     }
@@ -670,7 +670,7 @@ void CacheEngine::OnDatagram(Datagram dgram) {
                      std::move(receive));
 }
 
-void CacheEngine::Dispatch(const Datagram& dgram) {
+void CacheEngine::Dispatch(Datagram& dgram) {
   switch (dgram.type) {
     case kMsgGetPageReq:
       HandleGetPageReq(dgram.payload.get<GetPageReq>());

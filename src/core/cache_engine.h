@@ -301,7 +301,7 @@ class CacheEngine {
   // missing seq is never coming (the sender gave up or died).
   SimTime GapSkipTimeout() const;
   // Routes one datagram to its protocol handler (post dedup/ordering).
-  void Dispatch(const Datagram& dgram);
+  void Dispatch(Datagram& dgram);
 
   // Putpage plumbing shared by forwarding policies.
   void SendPutPage(Frame* frame, NodeId target, uint8_t freq = 0);

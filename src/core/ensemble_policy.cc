@@ -155,7 +155,7 @@ void EnsemblePolicy::HandlePutPage(const PutPage& msg) {
   });
 }
 
-bool EnsemblePolicy::HandleMessage(const Datagram& dgram) {
+bool EnsemblePolicy::HandleMessage(Datagram& dgram) {
   if (dgram.type == kMsgPutPage) {
     HandlePutPage(dgram.payload.get<PutPage>());
     return true;

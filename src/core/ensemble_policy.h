@@ -91,7 +91,7 @@ class EnsemblePolicy final : public ReplacementPolicy {
   // --- ReplacementPolicy ---
   void OnStart() override;
   void EvictClean(Frame* frame) override;
-  bool HandleMessage(const Datagram& dgram) override;
+  bool HandleMessage(Datagram& dgram) override;
   bool WantsFaultEvents() const override { return true; }
   void OnPageFault(const Uid& uid) override;
 

@@ -3,24 +3,35 @@
 #include <algorithm>
 #include <cassert>
 
-#include "src/common/flat_set.h"
-
 namespace gms {
 
 // ---------------------------------------------------------------------------
 // partial reduction
 // ---------------------------------------------------------------------------
 
+namespace {
+
+// Appends h's nonzero buckets in index order, stopping once they account
+// for h.total(): a node's pages cluster in a few low buckets, and an empty
+// histogram reads none.
+void AppendNonzeroBuckets(const LogHistogram& h, EpochNodeStat* stat) {
+  uint64_t left = h.total();
+  for (int i = 0; left > 0 && i < LogHistogram::kNumBuckets; i++) {
+    const uint64_t count = h.bucket(i);
+    if (count > 0) {
+      stat->buckets.emplace_back(static_cast<uint16_t>(i), count);
+      left -= count;
+    }
+  }
+}
+
+}  // namespace
+
 EpochNodeStat CompressSummary(const EpochSummary& summary) {
   EpochNodeStat stat;
   stat.node = summary.node;
   stat.evictions = summary.evictions;
-  for (int i = 0; i < LogHistogram::kNumBuckets; i++) {
-    const uint64_t count = summary.ages.bucket(i);
-    if (count > 0) {
-      stat.buckets.emplace_back(static_cast<uint16_t>(i), count);
-    }
-  }
+  AppendNonzeroBuckets(summary.ages, &stat);
   return stat;
 }
 
@@ -42,6 +53,9 @@ uint64_t SparseCountAtOrAbove(const EpochNodeStat& stat, uint64_t threshold) {
   return count;
 }
 
+namespace {
+
+// The per-epoch age scan: adds every in-use page's age into `out`.
 void AccumulateAgeHistogram(const FrameTable& frames, SimTime now,
                             double global_age_boost, LogHistogram* out) {
   // Straight-line pass over the two SoA columns the scan needs. The age
@@ -64,84 +78,92 @@ void AccumulateAgeHistogram(const FrameTable& frames, SimTime now,
   }
 }
 
-namespace {
-
 // FlatSet64 reserves key 0 for empty slots, so node n is keyed n + 1.
 uint64_t NodeKey(NodeId node) { return uint64_t{node.value} + 1; }
 
-FlatSet64 NodeKeys(const std::vector<EpochNodeStat>& nodes) {
-  FlatSet64 keys;
-  keys.Reserve(nodes.size());
-  for (const EpochNodeStat& n : nodes) {
-    keys.Insert(NodeKey(n.node));
-  }
-  return keys;
-}
-
 }  // namespace
 
-bool EpochPartial::Contains(NodeId node) const {
-  for (const EpochNodeStat& n : nodes) {
-    if (n.node == node) {
-      return true;
+EpochNodeStat SummarizeFrames(const FrameTable& frames, SimTime now,
+                              const EpochConfig& config) {
+  EpochNodeStat stat;
+  const uint32_t reserve = std::max<uint32_t>(16, frames.num_frames() / 32);
+  const uint32_t idle_free =
+      frames.free_count() > reserve ? frames.free_count() - reserve : 0;
+  const auto free_age = static_cast<uint64_t>(config.free_frame_age);
+  if (frames.used_count() == 0) {
+    if (idle_free > 0) {
+      stat.buckets.emplace_back(
+          static_cast<uint16_t>(LogHistogram::BucketIndex(free_age)),
+          idle_free);
     }
+    return stat;
   }
-  return false;
+  LogHistogram ages;
+  AccumulateAgeHistogram(frames, now, config.global_age_boost, &ages);
+  if (idle_free > 0) {
+    ages.Add(free_age, idle_free);
+  }
+  AppendNonzeroBuckets(ages, &stat);
+  return stat;
 }
 
-std::vector<NodeId> EpochPartial::MissingFrom(
-    const std::vector<NodeId>& members) const {
-  const FlatSet64 have = NodeKeys(nodes);
+void EpochAccumulator::Reset(uint64_t epoch, NodeId from, size_t expected) {
+  partial.epoch = epoch;
+  partial.from = from;
+  partial.evictions = 0;
+  partial.nodes.clear();
+  partial.nodes.reserve(expected);
+  if (indexed_ > 0) {
+    index_.Clear();
+    indexed_ = 0;
+  }
+}
+
+void EpochAccumulator::CatchUpIndex() {
+  assert(indexed_ <= partial.nodes.size());
+  for (; indexed_ < partial.nodes.size(); indexed_++) {
+    index_.Insert(NodeKey(partial.nodes[indexed_].node));
+  }
+}
+
+bool EpochAccumulator::MergeStat(EpochNodeStat stat) {
+  if (!partial.nodes.empty()) {
+    CatchUpIndex();
+    if (!index_.Insert(NodeKey(stat.node))) {
+      return false;
+    }
+    indexed_++;
+  }
+  partial.evictions += stat.evictions;
+  partial.nodes.push_back(std::move(stat));
+  return true;
+}
+
+bool EpochAccumulator::MergePartial(EpochPartial other) {
+  CatchUpIndex();
+  bool any = false;
+  for (EpochNodeStat& n : other.nodes) {
+    if (!index_.Insert(NodeKey(n.node))) {
+      continue;
+    }
+    indexed_++;
+    partial.evictions += n.evictions;
+    partial.nodes.push_back(std::move(n));
+    any = true;
+  }
+  return any;
+}
+
+std::vector<NodeId> EpochAccumulator::MissingFrom(
+    const std::vector<NodeId>& members) {
+  CatchUpIndex();
   std::vector<NodeId> missing;
   for (NodeId node : members) {
-    if (!have.Contains(NodeKey(node))) {
+    if (!index_.Contains(NodeKey(node))) {
       missing.push_back(node);
     }
   }
   return missing;
-}
-
-bool EpochPartial::MergeSummary(const EpochSummary& s) {
-  if (Contains(s.node)) {
-    return false;
-  }
-  evictions += s.evictions;
-  nodes.push_back(CompressSummary(s));
-  return true;
-}
-
-bool EpochPartial::MergePartial(const EpochPartial& other) {
-  // Common case first: disjoint node sets merge wholesale. Overlaps — a
-  // duplicated delivery, or a tree partial racing the root's direct
-  // re-request — fold only the new nodes; either path preserves the
-  // invariant that `evictions` is exactly the sum over `nodes`. One hash set
-  // over our nodes makes the whole merge O(|nodes| + |other.nodes|).
-  if (other.nodes.empty()) {
-    return false;
-  }
-  FlatSet64 have = NodeKeys(nodes);
-  bool overlap = false;
-  for (const EpochNodeStat& n : other.nodes) {
-    if (have.Contains(NodeKey(n.node))) {
-      overlap = true;
-      break;
-    }
-  }
-  if (!overlap) {
-    evictions += other.evictions;
-    nodes.insert(nodes.end(), other.nodes.begin(), other.nodes.end());
-    return true;
-  }
-  bool any = false;
-  for (const EpochNodeStat& n : other.nodes) {
-    if (!have.Insert(NodeKey(n.node))) {
-      continue;
-    }
-    evictions += n.evictions;
-    nodes.push_back(n);
-    any = true;
-  }
-  return any;
 }
 
 // ---------------------------------------------------------------------------
@@ -237,12 +259,12 @@ EpochPlan ComputeEpochPlan(const EpochConfig& config, uint64_t epoch,
                            SimTime last_duration, NodeId fallback_initiator) {
   // Fold everything into one partial and delegate: the flat path is the
   // single-partial case of the tree computation by construction.
-  EpochPartial partial;
-  partial.epoch = epoch;
+  EpochAccumulator acc;
+  acc.Reset(epoch);
   for (const EpochSummary& s : summaries) {
-    partial.MergeSummary(s);
+    acc.MergeSummary(s);
   }
-  return ComputeEpochPlanFromPartial(config, epoch, num_nodes, partial,
+  return ComputeEpochPlanFromPartial(config, epoch, num_nodes, acc.partial,
                                      last_duration, fallback_initiator);
 }
 
@@ -294,38 +316,37 @@ size_t EpochTree::IndexOf(NodeId node) const {
   return root_rank_ != kNone && rank > root_rank_ ? rank : rank + 1;
 }
 
-NodeId EpochTree::Parent(NodeId node) const {
-  const size_t i = IndexOf(node);
-  if (i == kNone || i == 0) {
-    return kInvalidNode;
+EpochTree::Run EpochTree::Children(size_t pos) const {
+  assert(pos < size_);
+  // Child positions [lo, hi) are tree ranks [lo - 1, hi - 1) of the live
+  // list with the root taken out; putting the root back widens the slice
+  // by one wherever it falls inside, and skip drops it again.
+  const size_t lo = pos * fanout_ + 1;
+  const size_t hi = std::min(size_, lo + fanout_);
+  Run run;
+  if (lo >= hi) {
+    return run;
   }
-  return At((i - 1) / fanout_);
+  size_t first = lo - 1;
+  size_t end = hi - 1;
+  if (root_rank_ != kNone) {
+    first += first >= root_rank_ ? 1 : 0;
+    end += end > root_rank_ ? 1 : 0;
+    run.skip = static_cast<uint32_t>(root_rank_);
+  }
+  run.first = static_cast<uint32_t>(first);
+  run.end = static_cast<uint32_t>(end);
+  return run;
 }
 
-std::vector<NodeId> EpochTree::Children(NodeId node) const {
-  std::vector<NodeId> children;
-  const size_t i = IndexOf(node);
-  if (i == kNone) {
-    return children;
-  }
-  const size_t first = i * fanout_ + 1;
-  for (size_t c = first; c < size_ && c < first + fanout_; c++) {
-    children.push_back(At(c));
-  }
-  return children;
-}
-
-size_t EpochTree::SubtreeSize(NodeId node) const {
-  const size_t i = IndexOf(node);
-  if (i == kNone) {
-    return 0;
-  }
+size_t EpochTree::SubtreeSize(size_t pos) const {
+  assert(pos < size_);
   // The subtree of an f-ary heap position spans one contiguous index range
-  // per level: [lo, hi] starts at [i, i] and each level maps to
+  // per level: [lo, hi] starts at [pos, pos] and each level maps to
   // [lo*f+1, hi*f+f].
   size_t total = 0;
-  size_t lo = i;
-  size_t hi = i;
+  size_t lo = pos;
+  size_t hi = pos;
   while (lo < size_) {
     total += std::min(hi, size_ - 1) - lo + 1;
     lo = lo * fanout_ + 1;
@@ -334,13 +355,10 @@ size_t EpochTree::SubtreeSize(NodeId node) const {
   return total;
 }
 
-uint32_t EpochTree::SubtreeHeight(NodeId node) const {
-  const size_t i = IndexOf(node);
-  if (i == kNone) {
-    return 0;
-  }
+uint32_t EpochTree::SubtreeHeight(size_t pos) const {
+  assert(pos < size_);
   uint32_t height = 0;
-  size_t lo = i;
+  size_t lo = pos;
   while (lo * fanout_ + 1 < size_) {
     lo = lo * fanout_ + 1;
     height++;
@@ -348,14 +366,11 @@ uint32_t EpochTree::SubtreeHeight(NodeId node) const {
   return height;
 }
 
-uint32_t EpochTree::Depth(NodeId node) const {
-  size_t i = IndexOf(node);
-  if (i == kNone) {
-    return 0;
-  }
+uint32_t EpochTree::Depth(size_t pos) const {
+  assert(pos < size_);
   uint32_t depth = 0;
-  while (i > 0) {
-    i = (i - 1) / fanout_;
+  while (pos > 0) {
+    pos = (pos - 1) / fanout_;
     depth++;
   }
   return depth;

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/flat_set.h"
 #include "src/common/node_id.h"
 #include "src/common/time.h"
 #include "src/core/messages.h"
@@ -89,6 +90,8 @@ EpochPlan ComputeEpochPlan(const EpochConfig& config, uint64_t epoch,
 // (tests/epoch_tree_test.cc holds this across N, fanout, permutations).
 
 // The sparse wire form of one summary: its nonzero age buckets + evictions.
+// Stops at the last nonzero bucket (once total() is accounted for), so an
+// empty histogram costs no bucket reads.
 EpochNodeStat CompressSummary(const EpochSummary& summary);
 
 // Rebuilds the histogram a stat was compressed from, bit for bit.
@@ -98,14 +101,53 @@ LogHistogram ExpandAges(const EpochNodeStat& stat);
 // .CountAtOrAbove(threshold) exactly (same bucket-lower-bound predicate).
 uint64_t SparseCountAtOrAbove(const EpochNodeStat& stat, uint64_t threshold);
 
-// The per-epoch age scan: adds every in-use page's age — boosted by
-// `global_age_boost` for global pages, the same arithmetic PickVictim uses —
-// into `out`. Streams the frame table's flags and ages columns directly
-// (no per-frame indirect call); this is the hottest whole-table walk in the
-// simulation, run by every node at every epoch. Bucket order matches the
-// slot-order ForEach walk it replaced, bit for bit.
-void AccumulateAgeHistogram(const FrameTable& frames, SimTime now,
-                            double global_age_boost, LogHistogram* out);
+// One node's age summary in sparse form, straight from its frame table:
+// every in-use page's age (boosted by `global_age_boost` for global pages,
+// the same arithmetic PickVictim uses) plus the free frames beyond the
+// pageout daemon's watermark reserve, credited at `free_frame_age` (the
+// reserve is kept free on every node, busy ones included, so it is not idle
+// memory). Equals CompressSummary of the dense summary bit for bit, but a
+// node holding no pages touches no dense histogram: its stat is at most the
+// free-frame bucket. `node` and `evictions` are left for the caller.
+EpochNodeStat SummarizeFrames(const FrameTable& frames, SimTime now,
+                              const EpochConfig& config);
+
+// One aggregator's running fold of a round: the partial it sends up (or
+// plans from) plus an index of the nodes that partial covers. A fold costs
+// O(what it brings): the index catches up with `partial.nodes` lazily (a
+// leaf, which folds only its own stat, never builds one) and keeps its
+// storage across rounds, and received stats are moved in, not copied. A
+// duplicated or overlapping delivery (retry, chaos, the root's re-request
+// racing a tree partial) folds only its new nodes, so every fold keeps
+// partial.evictions equal to the sum over partial.nodes.
+class EpochAccumulator {
+ public:
+  EpochPartial partial;
+
+  // Starts a round: empties the partial and sizes it for the `expected`
+  // nodes the round should bring (one allocation, not one per doubling);
+  // the index keeps its storage.
+  void Reset(uint64_t epoch = 0, NodeId from = NodeId{}, size_t expected = 0);
+  size_t size() const { return partial.nodes.size(); }
+
+  // Folds one node's stat / summary, or another subtree's partial. Returns
+  // false if nothing new was folded (every node already present).
+  bool MergeStat(EpochNodeStat stat);
+  bool MergeSummary(const EpochSummary& s) {
+    return MergeStat(CompressSummary(s));
+  }
+  bool MergePartial(EpochPartial other);
+
+  // The entries of `members` the partial holds no stats for, in order;
+  // O(|members|) once the index has caught up.
+  std::vector<NodeId> MissingFrom(const std::vector<NodeId>& members);
+
+ private:
+  void CatchUpIndex();
+
+  FlatSet64 index_;     // NodeKey of partial.nodes[0, indexed_)
+  size_t indexed_ = 0;
+};
 
 // Computes the plan from an already-reduced partial, rebuilding the merged
 // age histogram from its per-node stats (O(total nonzero buckets)).
@@ -127,12 +169,36 @@ EpochPlan ComputeEpochPlanFromPartial(const EpochConfig& config,
 //
 // The tree is an index view over the sorted live list (Pod::Build sorts it):
 // position p > 0 is live rank p-1, shifted past the root's own rank. It
-// copies and sorts nothing, so a non-root node's share of an epoch round is
-// O(log N) to place itself and O(fanout) to list its children. The view
-// borrows `live`, which must outlive it.
+// copies and sorts nothing. A node places itself once (IndexOf, one binary
+// search) and asks every other question by position in O(1) or O(depth),
+// so its share of a round is O(log N + fanout) host work however many
+// questions it asks. The view borrows `live`, which must outlive it.
 class EpochTree {
  public:
   static constexpr size_t kNone = static_cast<size_t>(-1);
+
+  // Consecutive tree positions as the live-list ranks they occupy:
+  // [first, end) minus `skip`, the root's own rank. Twelve bytes, so a relay
+  // closure carries the children it resolved on arrival without a heap
+  // copy; read it against the live list the tree was built over.
+  struct Run {
+    static constexpr uint32_t kNoSkip = ~uint32_t{0};
+    uint32_t first = 0;
+    uint32_t end = 0;
+    uint32_t skip = kNoSkip;
+
+    size_t size() const {
+      return end - first - (skip >= first && skip < end ? 1 : 0);
+    }
+    template <typename F>
+    void ForEach(const std::vector<NodeId>& live, F&& f) const {
+      for (uint32_t r = first; r < end; r++) {
+        if (r != skip) {
+          f(live[r]);
+        }
+      }
+    }
+  };
 
   // `live` must be sorted by id; `root` need not be in it.
   static EpochTree Build(const std::vector<NodeId>& live, NodeId root,
@@ -144,20 +210,25 @@ class EpochTree {
   size_t size() const { return size_; }
   uint32_t fanout() const { return fanout_; }
   NodeId At(size_t pos) const;  // position -> node; At(0) is the root
-  // O(log n): one binary search of the live list.
+  // node -> position, kNone if it is not in the tree: one binary search of
+  // the live list. Build makes the only other one, for the root.
   size_t IndexOf(NodeId node) const;
-  NodeId Parent(NodeId node) const;  // kInvalidNode for the root / unknown
-  std::vector<NodeId> Children(NodeId node) const;  // O(fanout)
-  size_t SubtreeSize(NodeId node) const;      // 0 when `node` is unknown
-  uint32_t SubtreeHeight(NodeId node) const;  // leaf (or unknown) = 0
-  uint32_t Depth(NodeId node) const;          // root = 0
+
+  // Position queries; `pos` < size().
+  size_t Parent(size_t pos) const {  // kNone for the root
+    return pos == 0 ? kNone : (pos - 1) / fanout_;
+  }
+  Run Children(size_t pos) const;            // O(1)
+  size_t SubtreeSize(size_t pos) const;      // O(depth)
+  uint32_t SubtreeHeight(size_t pos) const;  // leaf = 0; O(depth)
+  uint32_t Depth(size_t pos) const;          // root = 0; O(depth)
 
  private:
   const std::vector<NodeId>* live_ = nullptr;
   NodeId root_;
+  uint32_t fanout_ = 1;
   size_t root_rank_ = kNone;  // the root's index in *live_, kNone if absent
   size_t size_ = 0;
-  uint32_t fanout_ = 1;
 };
 
 // Straggler window for an aggregator whose subtree has height

@@ -48,7 +48,7 @@ void GmsPolicy::OnStop() {
   tree_timer_ = 0;
   tree_collecting_ = false;
   tree_sending_ = false;
-  tree_acc_ = EpochPartial{};
+  tree_acc_.Reset();
   tree_span_ = SpanRef{};
 }
 
@@ -502,24 +502,24 @@ void GmsPolicy::StartEpochAsInitiator() {
   // silently truncated. Taking over as root supersedes any aggregation duty
   // we held in an earlier tree round.
   CancelTreeAggregation();
-  root_acc_ = EpochPartial{};
-  root_acc_.epoch = collecting_epoch_;
-  root_acc_.from = self_;
+  root_acc_.Reset(collecting_epoch_, self_, pod().table().live.size());
+  // The root sits at position 0 of its own tree. The request goes to the
+  // children of the live list at hand, which the closure keeps alive.
   const EpochTree tree =
       EpochTree::Build(pod().table().live, self_, config_.epoch.fanout);
-  const std::vector<NodeId> children = tree.Children(self_);
-  const uint32_t height = tree.SubtreeHeight(self_);
+  const EpochTree::Run children = tree.Children(0);
+  const uint32_t height = tree.SubtreeHeight(0);
   const SimTime request_cost =
       config_.costs.epoch_request_per_node * RootFanoutUnits(children.size());
   cpu_->SubmitKernel(request_cost, CpuCategory::kEpoch,
-                     [this, children, height] {
+                     [this, table = pod().shared_table(), children, height] {
     if (!alive() || !collecting_) {
       return;
     }
-    for (NodeId node : children) {
+    children.ForEach(table->live, [this](NodeId node) {
       Send(node, kMsgEpochSummaryReq, config_.costs.small_message_bytes(),
            EpochSummaryReq{collecting_epoch_, self_, config_.epoch.fanout});
-    }
+    });
     // Our own summary, charged at the same scan rates as everyone else's.
     const SimTime scan =
         config_.costs.epoch_scan_per_local_page * frames_->local_count() +
@@ -529,12 +529,8 @@ void GmsPolicy::StartEpochAsInitiator() {
       if (!alive() || !collecting_) {
         return;
       }
-      EpochSummary own;
-      BuildOwnSummary(collecting_epoch_, &own);
-      own.evictions = evictions_since_summary_;
-      evictions_since_summary_ = 0;
-      root_acc_.MergeSummary(own);
-      if (root_acc_.nodes.size() >= pod().table().live.size()) {
+      root_acc_.MergeStat(TakeOwnStat());
+      if (root_acc_.size() >= pod().table().live.size()) {
         FinishSummaryCollection();
         return;
       }
@@ -554,23 +550,12 @@ SimTime GmsPolicy::RootFanoutUnits(size_t children) {
   return static_cast<SimTime>(units);
 }
 
-void GmsPolicy::BuildOwnSummary(uint64_t epoch, EpochSummary* out) const {
-  out->epoch = epoch;
-  out->node = self_;
-  out->local_pages = frames_->local_count();
-  out->global_pages = frames_->global_count();
-  out->free_frames = frames_->free_count();
-  AccumulateAgeHistogram(*frames_, sim_->now(),
-                         config_.epoch.global_age_boost, &out->ages);
-  // Free frames are idler than any page — but the pageout daemon keeps a
-  // small watermark reserve free on every node, including busy ones, and
-  // that reserve is not idle memory. Only the excess counts.
-  const uint32_t reserve =
-      std::max<uint32_t>(16, frames_->num_frames() / 32);
-  if (out->free_frames > reserve) {
-    out->ages.Add(static_cast<uint64_t>(config_.epoch.free_frame_age),
-                  out->free_frames - reserve);
-  }
+EpochNodeStat GmsPolicy::TakeOwnStat() {
+  EpochNodeStat stat = SummarizeFrames(*frames_, sim_->now(), config_.epoch);
+  stat.node = self_;
+  stat.evictions = evictions_since_summary_;
+  evictions_since_summary_ = 0;
+  return stat;
 }
 
 void GmsPolicy::HandleEpochSummaryReq(const EpochSummaryReq& msg,
@@ -588,10 +573,16 @@ void GmsPolicy::HandleEpochSummaryReq(const EpochSummaryReq& msg,
     if (!alive()) {
       return;
     }
+    // The flat round's wire form is the dense summary.
+    const EpochNodeStat own = TakeOwnStat();
     EpochSummary summary;
-    BuildOwnSummary(msg.epoch, &summary);
-    summary.evictions = evictions_since_summary_;
-    evictions_since_summary_ = 0;
+    summary.epoch = msg.epoch;
+    summary.node = self_;
+    summary.ages = ExpandAges(own);
+    summary.local_pages = frames_->local_count();
+    summary.global_pages = frames_->global_count();
+    summary.free_frames = frames_->free_count();
+    summary.evictions = own.evictions;
     Send(msg.initiator, kMsgEpochSummary,
          EpochSummaryBytes(config_.costs.header_size),
          Boxed<EpochSummary>(std::move(summary)));
@@ -607,7 +598,7 @@ void GmsPolicy::HandleEpochSummary(const EpochSummary& msg) {
   // duplicate delivery, or a summary racing a tree partial covering the same
   // node, folds nothing: MergeSummary dedups.
   if (root_acc_.MergeSummary(msg) &&
-      root_acc_.nodes.size() >= pod().table().live.size()) {
+      root_acc_.size() >= pod().table().live.size()) {
     FinishSummaryCollection();
   }
 }
@@ -630,38 +621,39 @@ void GmsPolicy::BeginTreeAggregation(const EpochSummaryReq& msg, NodeId from) {
   tree_sending_ = false;
   tree_epoch_ = msg.epoch;
   tree_parent_ = from;
-  tree_acc_ = EpochPartial{};
-  tree_acc_.epoch = msg.epoch;
-  tree_acc_.from = self_;
 
-  // Derive our slice of the tree from the replicated membership. If our view
+  // Derive our slice of the tree from the replicated membership: place
+  // ourselves once and read the rest off that position. If our view
   // disagrees with the initiator's (mid-reconfiguration), missing nodes are
   // recovered by the root's direct re-request sweep.
   const EpochTree tree = EpochTree::Build(pod().table().live, msg.initiator,
                                           msg.fanout);
-  const bool in_tree = tree.IndexOf(self_) != EpochTree::kNone;
-  const std::vector<NodeId> children =
-      in_tree ? tree.Children(self_) : std::vector<NodeId>{};
-  tree_expected_ = in_tree ? tree.SubtreeSize(self_) : 1;
-  const uint32_t height = in_tree ? tree.SubtreeHeight(self_) : 0;
+  const size_t pos = tree.IndexOf(self_);
+  const bool in_tree = pos != EpochTree::kNone;
+  const EpochTree::Run children = in_tree ? tree.Children(pos)
+                                          : EpochTree::Run{};
+  tree_expected_ = in_tree ? tree.SubtreeSize(pos) : 1;
+  tree_acc_.Reset(msg.epoch, self_, tree_expected_);
+  const uint32_t height = in_tree ? tree.SubtreeHeight(pos) : 0;
   tree_span_ = SpanBegin(tracer_, sim_->now(), self_,
                          SpanRef{EpochTraceId(msg.epoch), 0},
-                         /*label=*/in_tree ? tree.Depth(self_) : 0);
+                         /*label=*/in_tree ? tree.Depth(pos) : 0);
 
-  if (!children.empty()) {
+  if (children.size() > 0) {
     const SimTime relay_cost =
         config_.costs.epoch_request_per_node *
         static_cast<SimTime>(children.size());
-    cpu_->SubmitKernel(relay_cost, CpuCategory::kEpoch,
-                       [this, children, msg] {
+    auto relay = [this, table = pod().shared_table(), children, msg] {
       if (!alive() || !tree_collecting_ || tree_epoch_ != msg.epoch) {
         return;
       }
-      for (NodeId node : children) {
+      children.ForEach(table->live, [this, &msg](NodeId node) {
         Send(node, kMsgEpochSummaryReq, config_.costs.small_message_bytes(),
              EpochSummaryReq{msg.epoch, msg.initiator, msg.fanout});
-      }
-    });
+      });
+    };
+    static_assert(EventFn::kFitsInline<decltype(relay)>);
+    cpu_->SubmitKernel(relay_cost, CpuCategory::kEpoch, std::move(relay));
     // Straggler window scaled to the subtree below us: each level gets one
     // summary_timeout, so a deep subtree's leaves are waited out instead of
     // silently truncated (the timeout-depth regression in epoch_tree_test).
@@ -681,11 +673,7 @@ void GmsPolicy::BeginTreeAggregation(const EpochSummaryReq& msg, NodeId from) {
     if (!alive() || !tree_collecting_ || tree_epoch_ != epoch) {
       return;
     }
-    EpochSummary own;
-    BuildOwnSummary(epoch, &own);
-    own.evictions = evictions_since_summary_;
-    evictions_since_summary_ = 0;
-    tree_acc_.MergeSummary(own);
+    tree_acc_.MergeStat(TakeOwnStat());
     MaybeCompleteTreeAggregation();
   });
 }
@@ -694,7 +682,7 @@ void GmsPolicy::MaybeCompleteTreeAggregation() {
   if (!tree_collecting_ || tree_sending_) {
     return;
   }
-  if (tree_acc_.nodes.size() >= tree_expected_) {
+  if (tree_acc_.size() >= tree_expected_) {
     SendPartialUp();
   }
 }
@@ -703,7 +691,7 @@ void GmsPolicy::SendPartialUp() {
   if (!tree_collecting_ || tree_sending_) {
     return;
   }
-  if (tree_acc_.nodes.empty()) {
+  if (tree_acc_.size() == 0) {
     // Straggler timer fired before even our own scan finished; lower the
     // completion bar so the first fold (own scan or a child partial) sends
     // immediately instead of waiting for the full subtree.
@@ -722,14 +710,14 @@ void GmsPolicy::SendPartialUp() {
     tree_sending_ = false;
     stats().epoch_partials_sent++;
     SpanStep(tracer_, sim_->now(), self_, tree_span_, SpanComp::kService,
-             tree_acc_.nodes.size());
+             tree_acc_.size());
     Send(tree_parent_, kMsgEpochPartial,
-         EpochPartialBytes(config_.costs.header_size, tree_acc_),
-         std::move(tree_acc_));
+         EpochPartialBytes(config_.costs.header_size, tree_acc_.partial),
+         std::move(tree_acc_.partial));
     SpanEnd(tracer_, sim_->now(), self_, tree_span_, SpanStatus::kDone,
             tree_epoch_);
     tree_span_ = SpanRef{};
-    tree_acc_ = EpochPartial{};
+    tree_acc_.Reset();
   });
 }
 
@@ -738,15 +726,16 @@ void GmsPolicy::CancelTreeAggregation() {
   tree_timer_ = 0;
   tree_collecting_ = false;
   tree_sending_ = false;
-  tree_acc_ = EpochPartial{};
+  tree_acc_.Reset();
   tree_span_ = SpanRef{};
 }
 
-void GmsPolicy::HandleEpochPartial(const EpochPartial& msg) {
+void GmsPolicy::HandleEpochPartial(EpochPartial& msg) {
+  // The datagram dies after dispatch, so the merges take its stats.
   // Root: fold a child subtree's contribution into this round.
   if (collecting_ && msg.epoch == collecting_epoch_) {
     stats().epoch_root_summary_msgs++;
-    if (!root_acc_.MergePartial(msg)) {
+    if (!root_acc_.MergePartial(std::move(msg))) {
       return;  // duplicate (or fully overlapped by the re-request sweep)
     }
     stats().epoch_partials_merged++;
@@ -755,7 +744,7 @@ void GmsPolicy::HandleEpochPartial(const EpochPartial& msg) {
       if (!alive() || !collecting_ || epoch != collecting_epoch_) {
         return;
       }
-      if (root_acc_.nodes.size() >= pod().table().live.size()) {
+      if (root_acc_.size() >= pod().table().live.size()) {
         FinishSummaryCollection();
       }
     });
@@ -763,7 +752,7 @@ void GmsPolicy::HandleEpochPartial(const EpochPartial& msg) {
   }
   // Interior aggregator: fold and maybe forward.
   if (tree_collecting_ && msg.epoch == tree_epoch_) {
-    if (!tree_acc_.MergePartial(msg)) {
+    if (!tree_acc_.MergePartial(std::move(msg))) {
       return;
     }
     stats().epoch_partials_merged++;
@@ -784,7 +773,7 @@ void GmsPolicy::FinishSummaryCollection() {
     return;
   }
   if (config_.retry.enabled && !summaries_rerequested_ &&
-      root_acc_.nodes.size() < pod().table().live.size()) {
+      root_acc_.size() < pod().table().live.size()) {
     // Timed out with summaries missing: ask the silent nodes once more
     // before computing a plan from a partial view. The sweep always goes out
     // flat (fanout 0 — reply straight to us): in a tree, a crashed interior
@@ -810,12 +799,20 @@ void GmsPolicy::FinishSummaryCollection() {
   const SimTime last_duration =
       epoch_started_at_ > 0 ? sim_->now() - epoch_started_at_ : 0;
   EpochPlan plan = ComputeEpochPlanFromPartial(
-      config_.epoch, collecting_epoch_, net_->num_nodes(), root_acc_,
+      config_.epoch, collecting_epoch_, net_->num_nodes(), root_acc_.partial,
       last_duration, self_);
-  // Nodes outside the membership never receive weight.
-  for (uint32_t i = 0; i < plan.weights.size(); i++) {
-    if (!pod().IsLive(NodeId{i})) {
-      plan.weights[i] = 0;
+  // Nodes outside the membership never receive weight: one walk of the
+  // sorted live list alongside the dense weights.
+  {
+    const std::vector<NodeId>& live = pod().table().live;
+    size_t k = 0;
+    for (uint32_t i = 0; i < plan.weights.size(); i++) {
+      while (k < live.size() && live[k].value < i) {
+        k++;
+      }
+      if (k == live.size() || live[k].value != i) {
+        plan.weights[i] = 0;
+      }
     }
   }
 
@@ -831,28 +828,30 @@ void GmsPolicy::FinishSummaryCollection() {
 
   // Distribute down the same tree the summaries came up: a tree root pays
   // O(fanout) sends and marshal cost, and relays fan the rest out.
-  const std::vector<NodeId> children =
+  const EpochTree::Run children =
       EpochTree::Build(pod().table().live, self_, config_.epoch.fanout)
-          .Children(self_);
+          .Children(0);
   const SimTime cost =
       config_.costs.epoch_weights_compute_per_node *
           static_cast<SimTime>(pod().table().live.size()) +
       config_.costs.epoch_params_marshal_per_node *
           RootFanoutUnits(children.size());
-  cpu_->SubmitKernel(cost, CpuCategory::kEpoch,
-                     [this, params = std::move(params), children] {
+  auto distribute = [this, table = pod().shared_table(),
+                     params = std::move(params), children] {
     if (!alive()) {
       return;
     }
     // Collection + plan computation, attributed to the initiator's span.
     SpanStep(tracer_, sim_->now(), self_, epoch_span_, SpanComp::kService);
-    for (NodeId node : children) {
+    children.ForEach(table->live, [this, &params](NodeId node) {
       Send(node, kMsgEpochParams,
            EpochParamsBytes(config_.costs.header_size, params.weights->size()),
            params);
-    }
+    });
     AdoptEpochParams(params);
-  });
+  };
+  static_assert(EventFn::kFitsInline<decltype(distribute)>);
+  cpu_->SubmitKernel(cost, CpuCategory::kEpoch, std::move(distribute));
 }
 
 void GmsPolicy::HandleEpochParams(const EpochParams& msg) {
@@ -866,25 +865,27 @@ void GmsPolicy::HandleEpochParams(const EpochParams& msg) {
       // stale aggregation state.
       CancelTreeAggregation();
     }
-    const std::vector<NodeId> children =
-        EpochTree::Build(pod().table().live, msg.tree_root,
-                         config_.epoch.fanout)
-            .Children(self_);
-    if (!children.empty()) {
+    const EpochTree tree = EpochTree::Build(
+        pod().table().live, msg.tree_root, config_.epoch.fanout);
+    const size_t pos = tree.IndexOf(self_);
+    const EpochTree::Run children =
+        pos != EpochTree::kNone ? tree.Children(pos) : EpochTree::Run{};
+    if (children.size() > 0) {
       const SimTime relay_cost =
           config_.costs.epoch_params_marshal_per_node *
           static_cast<SimTime>(children.size());
-      cpu_->SubmitKernel(relay_cost, CpuCategory::kEpoch,
-                         [this, msg, children] {
+      auto relay = [this, table = pod().shared_table(), msg, children] {
         if (!alive()) {
           return;
         }
-        for (NodeId node : children) {
+        children.ForEach(table->live, [this, &msg](NodeId node) {
           Send(node, kMsgEpochParams,
                EpochParamsBytes(config_.costs.header_size, msg.weights->size()),
                msg);
-        }
-      });
+        });
+      };
+      static_assert(EventFn::kFitsInline<decltype(relay)>);
+      cpu_->SubmitKernel(relay_cost, CpuCategory::kEpoch, std::move(relay));
     }
   }
   cpu_->SubmitKernel(config_.costs.gcd_lookup, CpuCategory::kEpoch,
@@ -1261,7 +1262,7 @@ void GmsPolicy::HandleHeartbeatAck(const HeartbeatAck& msg) {
 // dispatch (engine hands us everything it does not own)
 // ---------------------------------------------------------------------------
 
-bool GmsPolicy::HandleMessage(const Datagram& dgram) {
+bool GmsPolicy::HandleMessage(Datagram& dgram) {
   switch (dgram.type) {
     case kMsgPutPage:
       HandlePutPage(dgram.payload.get<PutPage>());

@@ -86,7 +86,7 @@ class GmsPolicy final : public ReplacementPolicy {
   void EvictClean(Frame* frame) override;
   bool EvictDirty(Frame* frame) override;
   void ApplyGcdAsOwner(const GcdUpdate& update) override;
-  bool HandleMessage(const Datagram& dgram) override;
+  bool HandleMessage(Datagram& dgram) override;
   bool Quiescent() const override { return !collecting_ && !tree_collecting_; }
 
   // A rebooted or new node announces itself to the master.
@@ -104,7 +104,7 @@ class GmsPolicy final : public ReplacementPolicy {
   void HandlePutPage(const PutPage& msg);
   void HandleEpochSummaryReq(const EpochSummaryReq& msg, NodeId from);
   void HandleEpochSummary(const EpochSummary& msg);
-  void HandleEpochPartial(const EpochPartial& msg);
+  void HandleEpochPartial(EpochPartial& msg);
   void HandleEpochParams(const EpochParams& msg);
   void HandleEpochStale(const EpochStale& msg);
   void HandleJoinReq(const JoinReq& msg);
@@ -122,7 +122,9 @@ class GmsPolicy final : public ReplacementPolicy {
   void StartEpochAsInitiator();
   void FinishSummaryCollection();
   SimTime RootFanoutUnits(size_t children);
-  void BuildOwnSummary(uint64_t epoch, EpochSummary* out) const;
+  // This node's own stat for the round, taking the evictions counted since
+  // the last one; the caller's kernel charges the scan.
+  EpochNodeStat TakeOwnStat();
   void AdoptEpochParams(const EpochParams& params);
   void ArmEpochWatchdog();
   void OnEpochSilent();
@@ -169,7 +171,7 @@ class GmsPolicy final : public ReplacementPolicy {
   // root_acc_ and plans from it.
   bool collecting_ = false;
   uint64_t collecting_epoch_ = 0;
-  EpochPartial root_acc_;
+  EpochAccumulator root_acc_;
   TimerId collect_timer_ = 0;
   SimTime epoch_started_at_ = 0;
   // Root span of the epoch round this node initiated (trace id derived from
@@ -184,7 +186,7 @@ class GmsPolicy final : public ReplacementPolicy {
   uint64_t tree_epoch_ = 0;
   NodeId tree_parent_;         // where our merged partial goes (the relayer)
   size_t tree_expected_ = 0;   // nodes covered by our subtree
-  EpochPartial tree_acc_;
+  EpochAccumulator tree_acc_;
   TimerId tree_timer_ = 0;
   // Per-level aggregation span: joins the epoch's trace so trace_spans can
   // attribute latency level by level (label = this node's tree depth).

@@ -175,26 +175,16 @@ struct EpochNodeStat {
 // sparse stats. There is no premerged age histogram: the root rebuilds the
 // merged one from the stats it already walks for the weights
 // (ComputeEpochPlanFromPartial), so a partial costs memory per covered
-// node's nonzero buckets, not per histogram bucket. Merge members are
-// defined in epoch.cc next to ComputeEpochPlan; both fold duplicates
-// idempotently, so duplicated or overlapping deliveries (retry, chaos)
-// cannot double-count a node. At 48 bytes it rides inline in
-// MessagePayload; its vector relocates by memcpy like EpochParams'
-// shared_ptr.
+// node's nonzero buckets, not per histogram bucket. Aggregators build one
+// with an EpochAccumulator (epoch.h), which folds duplicates idempotently,
+// so duplicated or overlapping deliveries (retry, chaos) cannot
+// double-count a node. At 48 bytes it rides inline in MessagePayload; its
+// vector relocates by memcpy like EpochParams' shared_ptr.
 struct EpochPartial {
   uint64_t epoch = 0;
   NodeId from;
   uint64_t evictions = 0;   // == sum of every nodes[i].evictions
   std::vector<EpochNodeStat> nodes;
-
-  bool Contains(NodeId node) const;
-  // The entries of `members` this partial holds no stats for, in order;
-  // O(|members| + |nodes|).
-  std::vector<NodeId> MissingFrom(const std::vector<NodeId>& members) const;
-  // Folds one node's summary / another subtree's partial. Returns false if
-  // nothing new was folded (every node already present).
-  bool MergeSummary(const EpochSummary& s);
-  bool MergePartial(const EpochPartial& other);
 };
 
 struct EpochParams {

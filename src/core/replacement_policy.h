@@ -70,8 +70,10 @@ class ReplacementPolicy {
 
   // Policy-specific protocol messages (putpage absorption, epochs,
   // membership, N-chance forwards). Returns false for types the policy does
-  // not understand; the engine then logs an unknown-message warning.
-  virtual bool HandleMessage(const Datagram& dgram) {
+  // not understand; the engine then logs an unknown-message warning. The
+  // datagram is the engine's to discard after dispatch, so a handler may
+  // move out of its payload.
+  virtual bool HandleMessage(Datagram& dgram) {
     (void)dgram;
     return false;
   }

@@ -170,7 +170,7 @@ void NchancePolicy::HandleForward(const NchanceForward& msg) {
   });
 }
 
-bool NchancePolicy::HandleMessage(const Datagram& dgram) {
+bool NchancePolicy::HandleMessage(Datagram& dgram) {
   if (dgram.type == kMsgNchanceForward) {
     HandleForward(dgram.payload.get<NchanceForward>());
     return true;

@@ -59,7 +59,7 @@ class NchancePolicy final : public ReplacementPolicy {
       : config_(config), rng_(seed) {}
 
   void EvictClean(Frame* frame) override;
-  bool HandleMessage(const Datagram& dgram) override;
+  bool HandleMessage(Datagram& dgram) override;
 
   const NchanceStats& nchance_stats() const { return nstats_; }
 

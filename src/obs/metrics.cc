@@ -377,6 +377,14 @@ namespace {
 constexpr size_t kMetricEntryMaxBytes = 200;
 constexpr size_t kSeriesValueMaxBytes = 2 + kMaxJsonIntChars;  // ", " + int
 
+size_t DecimalDigits(uint64_t v) {
+  size_t digits = 1;
+  for (; v >= 10; v /= 10) {
+    digits++;
+  }
+  return digits;
+}
+
 }  // namespace
 
 std::string MetricsRegistry::ToJson() const {
@@ -384,17 +392,42 @@ std::string MetricsRegistry::ToJson() const {
   // export is diff-friendly and byte-identical across runs that register the
   // same metrics in different orders.
   const std::vector<uint32_t> order = ExportOrder();
+  // A metric none of snapshots 1..n-1 changed holds its snapshot-0 value
+  // (0 if it was registered later) through the whole series: OR-ing their
+  // change bitmaps once finds every such constant row, which is then
+  // formatted once per distinct value and copied. On an idle cluster that
+  // is most of the export.
+  const size_t num_snaps = deltas_.size();
+  std::vector<uint64_t> moved((size() + 63) / 64, 0);
+  for (size_t s = 1; s < num_snaps; s++) {
+    const std::vector<uint64_t>& changed = deltas_[s].changed;
+    for (size_t w = 0; w < changed.size(); w++) {
+      moved[w] |= changed[w];
+    }
+  }
+  auto constant = [&moved](size_t i) {
+    return (moved[i / 64] & (uint64_t{1} << (i % 64))) == 0;
+  };
+  auto first_value = [this, num_snaps](size_t i) {
+    uint64_t v = 0;
+    if (num_snaps > 0) {
+      deltas_[0].Read(i, &v);
+    }
+    return v;
+  };
   // One reservation bounds the whole export, so the string never regrows.
   // Every name appears twice (metrics map and series), quoted and escaped.
-  const size_t num_snaps = deltas_.size();
+  // A constant row's size is exact; any other row's is bounded per value.
   size_t bound = 256 + num_snaps * kSeriesValueMaxBytes;
   for (const Family& f : families_) {
     const MetricSchema& schema = *f.schema;
     const size_t name_bytes =
         schema.size() * JsonStringSize(f.prefix) + schema.json_suffix_bytes();
-    bound += 2 * name_bytes +
-             schema.size() *
-                 (kMetricEntryMaxBytes + num_snaps * kSeriesValueMaxBytes);
+    bound += 2 * name_bytes + schema.size() * kMetricEntryMaxBytes;
+  }
+  for (size_t i = 0; num_snaps > 0 && i < size(); i++) {
+    bound += constant(i) ? num_snaps * (2 + DecimalDigits(first_value(i))) - 2
+                         : num_snaps * kSeriesValueMaxBytes;
   }
   std::string out;
   out.reserve(bound);
@@ -465,25 +498,43 @@ std::string MetricsRegistry::ToJson() const {
   // Each series row is formatted with raw pointer writes and appended whole:
   // per-value std::string appends would cost more than the digits. A row
   // walks the metric's snapshots forward, carrying its value between
-  // changes; before the metric existed it reads 0.
+  // changes; before the metric existed it reads 0. A constant row is
+  // copied from the last one built for its value.
   std::vector<char> row(num_snaps * kSeriesValueMaxBytes);
   char* const row_end = row.data() + row.size();
+  std::string constant_row;  // constant_value's series; empty: none built
+  uint64_t constant_value = 0;
   for (size_t oi = 0; oi < order.size(); oi++) {
     const size_t i = order[oi];
     out += "      ";
     append_name(i);
     out += ": [";
-    char* p = row.data();
-    uint64_t v = 0;
-    for (size_t s = 0; s < num_snaps; s++) {
-      if (s > 0) {
-        *p++ = ',';
-        *p++ = ' ';
+    if (constant(i)) {
+      const uint64_t v = first_value(i);
+      if (constant_row.empty() || v != constant_value) {
+        constant_value = v;
+        constant_row.clear();
+        for (size_t s = 0; s < num_snaps; s++) {
+          if (s > 0) {
+            constant_row += ", ";
+          }
+          AppendInt(&constant_row, v);
+        }
       }
-      deltas_[s].Read(i, &v);
-      p = std::to_chars(p, row_end, v).ptr;
+      out += constant_row;
+    } else {
+      char* p = row.data();
+      uint64_t v = 0;
+      for (size_t s = 0; s < num_snaps; s++) {
+        if (s > 0) {
+          *p++ = ',';
+          *p++ = ' ';
+        }
+        deltas_[s].Read(i, &v);
+        p = std::to_chars(p, row_end, v).ptr;
+      }
+      out.append(row.data(), static_cast<size_t>(p - row.data()));
     }
-    out.append(row.data(), static_cast<size_t>(p - row.data()));
     out += "]";
     out += oi + 1 < order.size() ? ",\n" : "\n";
   }

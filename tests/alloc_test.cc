@@ -787,6 +787,22 @@ TEST(AllocTest, EpochHeapTrafficPerNodeDoesNotGrowWithClusterSize) {
       << " bytes per node-epoch, 2000 nodes: " << large.bytes_per_node_epoch;
 }
 
+// The allocation count behind the relative bound above: at most 1.5 per
+// idle node-epoch (1.39 at 250 nodes and 1.34 at 2000 measured; 3.7 at
+// both before a round placed each node once). A leaf allocates one entry
+// for its own stat, sized up front, and an aggregator one buffer for its
+// subtree; the rest is the event queue's burst storage. A heap copy of a
+// node's children per relay, a hash set rebuilt at every merge or a
+// partial regrown by doubling would each add about one per node-epoch.
+TEST(AllocTest, EpochAllocationsPerIdleNodeStayUnderBound) {
+  for (uint32_t nodes : {250u, 2000u}) {
+    const EpochAllocs a = MeasureIdleTreeEpochs(nodes);
+    EXPECT_LE(a.allocs_per_node_epoch, 1.5)
+        << nodes << " nodes: " << a.allocs_per_node_epoch
+        << " allocations per node-epoch";
+  }
+}
+
 // The absolute bound behind the relative one above: an idle node's share of
 // an epoch round costs fewer heap bytes than one dense LogHistogram. A
 // 16-frame node has a handful of nonzero age buckets, and every structure

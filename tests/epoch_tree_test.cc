@@ -49,9 +49,8 @@ void Shuffle(Rng& rng, std::vector<T>& v) {
 EpochPartial ReduceSubtree(const EpochTree& tree, size_t pos,
                            const std::vector<EpochSummary>& by_node,
                            uint64_t epoch, Rng& rng) {
-  EpochPartial acc;
-  acc.epoch = epoch;
-  acc.from = tree.At(pos);
+  EpochAccumulator acc;
+  acc.Reset(epoch, tree.At(pos));
 
   // -1 stands for "fold my own summary"; the rest are child positions.
   std::vector<size_t> steps = {static_cast<size_t>(-1)};
@@ -68,7 +67,7 @@ EpochPartial ReduceSubtree(const EpochTree& tree, size_t pos,
       EXPECT_TRUE(acc.MergePartial(child));
     }
   }
-  return acc;
+  return std::move(acc.partial);
 }
 
 // evictions must stay exactly the sum over the sparse per-node stats — the
@@ -102,6 +101,15 @@ std::vector<NodeId> LiveNodes(uint32_t n) {
     live.push_back(NodeId{i});
   }
   return live;
+}
+
+// The nodes a Run stands for, in position order.
+std::vector<NodeId> NodesOf(const EpochTree::Run& run,
+                            const std::vector<NodeId>& live) {
+  std::vector<NodeId> nodes;
+  run.ForEach(live, [&](NodeId node) { nodes.push_back(node); });
+  EXPECT_EQ(nodes.size(), run.size());
+  return nodes;
 }
 
 TEST(EpochTreeTest, TreeMatchesFlatAcrossScalesAndFanouts) {
@@ -157,26 +165,50 @@ TEST(EpochTreeTest, DuplicatedDeliveriesAreIdempotent) {
   const std::vector<NodeId> live = LiveNodes(n);
   const EpochTree tree = EpochTree::Build(live, NodeId{3}, 2);
 
-  EpochPartial acc;
-  acc.epoch = 7;
-  acc.from = NodeId{3};
+  EpochAccumulator acc;
+  acc.Reset(7, NodeId{3});
   EXPECT_TRUE(acc.MergeSummary(by_node[3]));
   // The network may deliver any partial or summary twice; dedup is by node
   // id, so a replay must fold nothing.
+  std::vector<EpochPartial> children;
   for (size_t c : {1u, 2u}) {
-    const EpochPartial child = ReduceSubtree(tree, c, by_node, 7, rng);
-    EXPECT_TRUE(acc.MergePartial(child));
-    EXPECT_FALSE(acc.MergePartial(child)) << "duplicate folded twice";
+    children.push_back(ReduceSubtree(tree, c, by_node, 7, rng));
+    EXPECT_TRUE(acc.MergePartial(children.back()));
+    EXPECT_FALSE(acc.MergePartial(children.back()))
+        << "duplicate folded twice";
   }
   EXPECT_FALSE(acc.MergeSummary(by_node[3]));
-  ASSERT_EQ(acc.nodes.size(), n);
-  ExpectPartialConsistent(acc);
+  ASSERT_EQ(acc.size(), n);
+  ExpectPartialConsistent(acc.partial);
+  EXPECT_TRUE(acc.MissingFrom(live).empty());
 
-  const EpochPlan once = ComputeEpochPlanFromPartial(EpochConfig{}, 7, n, acc,
-                                                     Seconds(5), NodeId{3});
+  const EpochPlan once = ComputeEpochPlanFromPartial(
+      EpochConfig{}, 7, n, acc.partial, Seconds(5), NodeId{3});
   const EpochPlan flat = ComputeEpochPlan(EpochConfig{}, 7, n, by_node,
                                           Seconds(5), NodeId{3});
   ExpectPlansIdentical(once, flat);
+
+  // A round's first fold comes before any index exists; replays of it, and
+  // of any node it covers, must still fold nothing. The reset between
+  // rounds forgets every node.
+  for (int round = 0; round < 2; round++) {
+    acc.Reset(8 + round, NodeId{3});
+    EXPECT_TRUE(acc.MergePartial(children[0]));
+    EXPECT_FALSE(acc.MergePartial(children[0])) << "round " << round;
+    for (const EpochNodeStat& stat : children[0].nodes) {
+      EXPECT_FALSE(acc.MergeStat(stat)) << "node " << stat.node.value;
+    }
+    EXPECT_TRUE(acc.MergeSummary(by_node[3]));
+    ASSERT_EQ(acc.size(), children[0].nodes.size() + 1);
+    ExpectPartialConsistent(acc.partial);
+    // Missing is exactly the other child's subtree, in live order.
+    std::vector<NodeId> other;
+    for (const EpochNodeStat& stat : children[1].nodes) {
+      other.push_back(stat.node);
+    }
+    std::sort(other.begin(), other.end());
+    EXPECT_EQ(acc.MissingFrom(live), other);
+  }
 }
 
 TEST(EpochTreeTest, OverlappingPartialsFoldOnlyNewNodes) {
@@ -188,22 +220,22 @@ TEST(EpochTreeTest, OverlappingPartialsFoldOnlyNewNodes) {
   for (uint32_t i = 0; i < 6; i++) {
     by_node.push_back(RandomSummary(rng, NodeId{i}, 3));
   }
-  EpochPartial left;
-  left.epoch = 3;
+  EpochAccumulator left;
+  left.Reset(3);
   for (uint32_t i : {0u, 1u, 2u, 3u}) {
     left.MergeSummary(by_node[i]);
   }
-  EpochPartial right;
-  right.epoch = 3;
+  EpochAccumulator right;
+  right.Reset(3);
   for (uint32_t i : {2u, 3u, 4u, 5u}) {
     right.MergeSummary(by_node[i]);
   }
-  EXPECT_TRUE(left.MergePartial(right));
-  ASSERT_EQ(left.nodes.size(), 6u);
-  ExpectPartialConsistent(left);
+  EXPECT_TRUE(left.MergePartial(right.partial));
+  ASSERT_EQ(left.size(), 6u);
+  ExpectPartialConsistent(left.partial);
   ExpectPlansIdentical(
-      ComputeEpochPlanFromPartial(EpochConfig{}, 3, 6, left, Seconds(5),
-                                  NodeId{0}),
+      ComputeEpochPlanFromPartial(EpochConfig{}, 3, 6, left.partial,
+                                  Seconds(5), NodeId{0}),
       ComputeEpochPlan(EpochConfig{}, 3, 6, by_node, Seconds(5), NodeId{0}));
 }
 
@@ -214,37 +246,37 @@ TEST(EpochTreeTest, MergeIsCommutativeAndAssociative) {
     by_node.push_back(RandomSummary(rng, NodeId{i}, 1));
   }
   auto partial_of = [&](std::initializer_list<uint32_t> ids) {
-    EpochPartial p;
-    p.epoch = 1;
+    EpochAccumulator p;
+    p.Reset(1);
     for (uint32_t i : ids) {
       p.MergeSummary(by_node[i]);
     }
     return p;
   };
-  auto plan_of = [&](const EpochPartial& p) {
-    return ComputeEpochPlanFromPartial(EpochConfig{}, 1, 9, p, Seconds(5),
-                                       NodeId{0});
+  auto plan_of = [&](const EpochAccumulator& p) {
+    return ComputeEpochPlanFromPartial(EpochConfig{}, 1, 9, p.partial,
+                                       Seconds(5), NodeId{0});
   };
 
-  const EpochPartial a = partial_of({0, 1, 2});
-  const EpochPartial b = partial_of({3, 4, 5});
-  const EpochPartial c = partial_of({6, 7, 8});
+  const EpochAccumulator a = partial_of({0, 1, 2});
+  const EpochAccumulator b = partial_of({3, 4, 5});
+  const EpochAccumulator c = partial_of({6, 7, 8});
 
-  EpochPartial ab = a;
-  ab.MergePartial(b);
-  EpochPartial ba = b;
-  ba.MergePartial(a);
+  EpochAccumulator ab = a;
+  ab.MergePartial(b.partial);
+  EpochAccumulator ba = b;
+  ba.MergePartial(a.partial);
   ExpectPlansIdentical(plan_of(ab), plan_of(ba));  // commutative
 
-  EpochPartial ab_c = ab;
-  ab_c.MergePartial(c);
-  EpochPartial bc = b;
-  bc.MergePartial(c);
-  EpochPartial a_bc = a;
-  a_bc.MergePartial(bc);
+  EpochAccumulator ab_c = ab;
+  ab_c.MergePartial(c.partial);
+  EpochAccumulator bc = b;
+  bc.MergePartial(c.partial);
+  EpochAccumulator a_bc = a;
+  a_bc.MergePartial(bc.partial);
   ExpectPlansIdentical(plan_of(ab_c), plan_of(a_bc));  // associative
-  ExpectPartialConsistent(ab_c);
-  ExpectPartialConsistent(a_bc);
+  ExpectPartialConsistent(ab_c.partial);
+  ExpectPartialConsistent(a_bc.partial);
 }
 
 TEST(EpochTreeTest, CompressExpandRoundTripIsExact) {
@@ -296,56 +328,82 @@ TEST(EpochTreeTest, TreeShapeIsCanonicalAndConsistent) {
                 [](NodeId a, NodeId b) { return a.value < b.value; });
       ASSERT_EQ(seen, LiveNodes(n));
 
-      ASSERT_EQ(tree.SubtreeSize(root), n);
-      EXPECT_EQ(tree.Parent(root), kInvalidNode);
+      ASSERT_EQ(tree.SubtreeSize(0), n);
+      EXPECT_EQ(tree.Parent(0), EpochTree::kNone);
       size_t covered = 1;
       for (NodeId node : order) {
+        const size_t pos = tree.IndexOf(node);
+        ASSERT_EQ(tree.At(pos), node);
         size_t child_total = 0;
-        for (NodeId child : tree.Children(node)) {
-          EXPECT_EQ(tree.Parent(child), node);
-          EXPECT_GT(tree.Depth(child), tree.Depth(node));
-          child_total += tree.SubtreeSize(child);
+        for (NodeId child : NodesOf(tree.Children(pos), pod.live)) {
+          const size_t c = tree.IndexOf(child);
+          EXPECT_EQ(tree.Parent(c), pos);
+          EXPECT_GT(tree.Depth(c), tree.Depth(pos));
+          child_total += tree.SubtreeSize(c);
           covered++;
         }
         // A node's subtree is itself plus its children's subtrees.
-        EXPECT_EQ(tree.SubtreeSize(node), child_total + 1);
-        EXPECT_LE(tree.Depth(node), tree.SubtreeHeight(root));
+        EXPECT_EQ(tree.SubtreeSize(pos), child_total + 1);
+        EXPECT_LE(tree.Depth(pos), tree.SubtreeHeight(0));
       }
       EXPECT_EQ(covered, n);  // parent/child edges span the whole tree
 
       if ((fanout == 0 || fanout >= n) && n > 1) {
         // Fanout 0 is the flat round's star; fanout >= n degenerates to one.
-        EXPECT_EQ(tree.Children(root).size(), n - 1);
-        EXPECT_EQ(tree.SubtreeHeight(root), 1u);
+        EXPECT_EQ(tree.Children(0).size(), n - 1);
+        EXPECT_EQ(tree.SubtreeHeight(0), 1u);
       }
       EXPECT_EQ(tree.IndexOf(NodeId{n + 100}), EpochTree::kNone);
-      EXPECT_EQ(tree.SubtreeSize(NodeId{n + 100}), 0u);
     }
   }
 }
 
 // The form the index view replaced: the order materialized as a vector
 // (root first, then every other live node by id) with the heap arithmetic
-// applied to it directly.
+// applied to it directly, and every other query answered by recursion over
+// the children.
 struct NaiveTree {
   std::vector<NodeId> order;
   size_t fanout = 1;
 
-  std::vector<NodeId> Children(size_t pos) const {
-    std::vector<NodeId> children;
+  std::vector<size_t> ChildPositions(size_t pos) const {
+    std::vector<size_t> children;
     for (size_t c = pos * fanout + 1;
          c < order.size() && c < pos * fanout + 1 + fanout; c++) {
+      children.push_back(c);
+    }
+    return children;
+  }
+  std::vector<NodeId> Children(size_t pos) const {
+    std::vector<NodeId> children;
+    for (size_t c : ChildPositions(pos)) {
       children.push_back(order[c]);
     }
     return children;
   }
   size_t SubtreeSize(size_t pos) const {
     size_t total = 1;
-    for (size_t c = pos * fanout + 1;
-         c < order.size() && c < pos * fanout + 1 + fanout; c++) {
+    for (size_t c : ChildPositions(pos)) {
       total += SubtreeSize(c);
     }
     return total;
+  }
+  uint32_t SubtreeHeight(size_t pos) const {
+    uint32_t height = 0;
+    for (size_t c : ChildPositions(pos)) {
+      height = std::max(height, SubtreeHeight(c) + 1);
+    }
+    return height;
+  }
+  // Parents by search: the position whose children list `pos`.
+  size_t Parent(size_t pos) const {
+    for (size_t p = 0; p < order.size(); p++) {
+      const std::vector<size_t> children = ChildPositions(p);
+      if (std::find(children.begin(), children.end(), pos) != children.end()) {
+        return p;
+      }
+    }
+    return EpochTree::kNone;
   }
 };
 
@@ -402,16 +460,61 @@ TEST(EpochTreeTest, IndexViewMatchesMaterializedOrder) {
           const NodeId node = naive.order[pos];
           ASSERT_EQ(tree.At(pos), node) << "pos " << pos;
           EXPECT_EQ(tree.IndexOf(node), pos);
-          EXPECT_EQ(tree.Parent(node),
-                    pos == 0 ? kInvalidNode
-                             : naive.order[(pos - 1) / naive.fanout]);
-          EXPECT_EQ(tree.Children(node), naive.Children(pos));
-          EXPECT_EQ(tree.SubtreeSize(node), naive.SubtreeSize(pos));
+          EXPECT_EQ(NodesOf(tree.Children(pos), pod.live),
+                    naive.Children(pos));
+          EXPECT_EQ(tree.SubtreeSize(pos), naive.SubtreeSize(pos));
         }
         EXPECT_EQ(tree.IndexOf(NodeId{0}), EpochTree::kNone);
-        EXPECT_EQ(tree.Parent(NodeId{0}), kInvalidNode);
-        EXPECT_TRUE(tree.Children(NodeId{0}).empty());
-        EXPECT_EQ(tree.SubtreeSize(NodeId{0}), 0u);
+      }
+    }
+  }
+}
+
+// Every question a round asks is answered by position, once the node has
+// placed itself: children, subtree size and height, depth and parent must
+// match the materialized tree at every position, across sizes from a lone
+// root to 1000 nodes, the flat star (fanout 0), a chain (fanout 1), and a
+// root inside or outside the live list.
+TEST(EpochTreeTest, PositionQueriesMatchMaterializedTree) {
+  Rng rng(23);
+  for (uint32_t n : {1u, 2u, 17u, 257u, 1000u}) {
+    for (uint32_t fanout : {0u, 1u, 2u, 16u}) {
+      for (bool root_live : {true, false}) {
+        // Live ids are 1 mod 3 and the absent root is 2 mod 3, as above.
+        std::vector<NodeId> live;
+        for (uint32_t i = 0; i < n; i++) {
+          live.push_back(NodeId{i * 3 + 1});
+        }
+        const NodeId root =
+            root_live ? live[rng.NextBelow(n)]
+                      : NodeId{static_cast<uint32_t>(rng.NextBelow(n + 1)) * 3 +
+                               2};
+        const EpochTree tree = EpochTree::Build(live, root, fanout);
+        const NaiveTree naive = MaterializeTree(live, root, fanout);
+        SCOPED_TRACE(::testing::Message()
+                     << "n=" << n << " fanout=" << fanout
+                     << " root=" << root.value << " live=" << root_live);
+        ASSERT_EQ(tree.size(), naive.order.size());
+
+        // Depth by walking the naive parents down from the root.
+        std::vector<uint32_t> depth(naive.order.size(), 0);
+        for (size_t pos = 0; pos < naive.order.size(); pos++) {
+          for (size_t c : naive.ChildPositions(pos)) {
+            depth[c] = depth[pos] + 1;
+          }
+        }
+        for (size_t pos = 0; pos < naive.order.size(); pos++) {
+          ASSERT_EQ(tree.At(pos), naive.order[pos]) << "pos " << pos;
+          EXPECT_EQ(tree.IndexOf(naive.order[pos]), pos);
+          EXPECT_EQ(NodesOf(tree.Children(pos), live), naive.Children(pos))
+              << "pos " << pos;
+          EXPECT_EQ(tree.SubtreeSize(pos), naive.SubtreeSize(pos))
+              << "pos " << pos;
+          EXPECT_EQ(tree.SubtreeHeight(pos), naive.SubtreeHeight(pos))
+              << "pos " << pos;
+          EXPECT_EQ(tree.Depth(pos), depth[pos]) << "pos " << pos;
+          EXPECT_EQ(tree.Parent(pos), naive.Parent(pos)) << "pos " << pos;
+        }
       }
     }
   }
@@ -433,9 +536,9 @@ TEST(EpochTreeTest, CollectTimeoutScalesWithSubtreeHeight) {
   // every level below it.
   const std::vector<NodeId> live = LiveNodes(1000);
   const EpochTree tree = EpochTree::Build(live, NodeId{0}, 2);
-  EXPECT_GE(TreeCollectTimeout(config, tree.SubtreeHeight(NodeId{0})),
+  EXPECT_GE(TreeCollectTimeout(config, tree.SubtreeHeight(0)),
             config.summary_timeout *
-                static_cast<SimTime>(tree.SubtreeHeight(NodeId{0})));
+                static_cast<SimTime>(tree.SubtreeHeight(0)));
 }
 
 // --- cluster-level regressions ---------------------------------------------

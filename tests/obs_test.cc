@@ -533,8 +533,20 @@ uint64_t TripleField(const void* ctx) {
 // seeded registries of one-off metrics and three-field families registered
 // between snapshots, values that repeat, change, return to 0 and reach
 // UINT64_MAX, and a ClearSnapshots() midway. Every snapshot value read
-// through snapshots() and every exported series value must match.
+// through snapshots() and every exported series value must match. Besides
+// metrics that change at random, some never change after registration
+// (constant rows, zero or not, from snapshot 0 or registered later), some
+// change only at the first snapshot after the clear, and some only at the
+// last snapshot, so the export's constant-row path is held to the shadow
+// on both sides of every boundary it depends on.
 TEST(MetricsRegistryTest, ChangeOnlySeriesMatchesDenseShadow) {
+  // How a metric's value moves after registration.
+  enum Motion { kRandom, kNever, kAfterClear, kAtLast, kNumMotions };
+  // Series shapes the shadow saw, summed over seeds: each must occur.
+  size_t constant_nonzero = 0;  // whole series one nonzero value
+  size_t constant_late = 0;     // constant, registered after snapshot 0
+  size_t first_only = 0;        // nonzero from snapshot 0, never again
+  size_t moved_late = 0;        // constant until the last snapshot
   static const MetricSchema kSchema({
       MetricField("a", &TripleField<0>),
       MetricField("b", &TripleField<1>),
@@ -547,6 +559,7 @@ TEST(MetricsRegistryTest, ChangeOnlySeriesMatchesDenseShadow) {
     std::deque<uint64_t> singles;     // one-off metrics' values
     std::deque<Triple> triples;       // families' values
     std::vector<uint64_t*> by_index;  // metric index -> its value
+    std::vector<Motion> motion;       // metric index -> how it moves
     struct Row {
       SimTime time;
       std::vector<uint64_t> values;
@@ -573,12 +586,14 @@ TEST(MetricsRegistryTest, ChangeOnlySeriesMatchesDenseShadow) {
           for (uint64_t& v : t) {
             v = random_value();
             by_index.push_back(&v);
+            motion.push_back(static_cast<Motion>(rng.NextBelow(kNumMotions)));
           }
           ASSERT_TRUE(reg.RegisterFamily("f" + id + "/", kSchema, &t));
         } else {
           uint64_t* cell = &singles.emplace_back(random_value());
           ASSERT_TRUE(reg.RegisterValue("m" + id, [cell] { return *cell; }));
           by_index.push_back(cell);
+          motion.push_back(static_cast<Motion>(rng.NextBelow(kNumMotions)));
         }
       }
     };
@@ -610,11 +625,27 @@ TEST(MetricsRegistryTest, ChangeOnlySeriesMatchesDenseShadow) {
       for (size_t oi = 0; oi < order.size(); oi++) {
         const size_t i = order[oi];
         want += "      \"" + names[i] + "\": [";
+        std::vector<uint64_t> series;
         for (size_t r = 0; r < shadow.size(); r++) {
           const std::vector<uint64_t>& v = shadow[r].values;
-          want += (r > 0 ? ", " : "") + std::to_string(i < v.size() ? v[i] : 0);
+          series.push_back(i < v.size() ? v[i] : 0);
+          want += (r > 0 ? ", " : "") + std::to_string(series.back());
         }
         want += oi + 1 < order.size() ? "],\n" : "]\n";
+        if (series.size() < 2) {
+          continue;
+        }
+        const bool constant =
+            std::count(series.begin(), series.end(), series[0]) ==
+            static_cast<std::ptrdiff_t>(series.size());
+        const bool late = i >= shadow[0].values.size();
+        constant_nonzero += constant && series[0] != 0;
+        constant_late += constant && late;
+        first_only += constant && !late && series[0] != 0;
+        moved_late += !constant &&
+                      std::count(series.begin(), series.end() - 1,
+                                 series[0]) ==
+                          static_cast<std::ptrdiff_t>(series.size() - 1);
       }
       want += "    }\n  }\n}\n";
       const std::string json = reg.ToJson();
@@ -630,9 +661,23 @@ TEST(MetricsRegistryTest, ChangeOnlySeriesMatchesDenseShadow) {
         shadow.clear();
       }
       register_some();
-      for (uint64_t* cell : by_index) {
-        if (rng.NextBelow(2) == 0) {  // else the value repeats
-          *cell = random_value();
+      for (size_t m = 0; m < by_index.size(); m++) {
+        bool change = false;
+        switch (motion[m]) {
+          case kRandom:
+            change = rng.NextBelow(2) == 0;  // else the value repeats
+            break;
+          case kAfterClear:
+            change = step == kSteps / 2;
+            break;
+          case kAtLast:
+            change = step == kSteps - 1;
+            break;
+          default:
+            break;
+        }
+        if (change) {
+          *by_index[m] = random_value();
         }
       }
       const SimTime now = Milliseconds(step + 1);
@@ -646,6 +691,39 @@ TEST(MetricsRegistryTest, ChangeOnlySeriesMatchesDenseShadow) {
     ASSERT_GT(reg.size(), 128u) << "the bitmaps should span several words";
     check();
   }
+  EXPECT_GT(constant_nonzero, 0u);
+  EXPECT_GT(constant_late, 0u);
+  EXPECT_GT(first_only, 0u);
+  EXPECT_GT(moved_late, 0u);
+}
+
+// The export reserves its whole size up front, and the reservation must
+// track what it writes: an idle cluster's registry is mostly metrics that
+// read 0 at every snapshot, each series value "0, " is 3 bytes, and a
+// per-value worst case of 22 bytes would reserve seven times the export.
+// Constant rows are sized exactly, so the capacity stays within twice the
+// size.
+TEST(MetricsRegistryTest, ExportOfConstantSeriesReservesAboutItsSize) {
+  static const MetricSchema kSchema({
+      MetricField("a", &TripleField<0>),
+      MetricField("b", &TripleField<1>),
+      MetricField("c", &TripleField<2>),
+  });
+  const Triple zeros = {0, 0, 0};
+  MetricsRegistry reg;
+  for (int node = 0; node < 700; node++) {
+    ASSERT_TRUE(reg.RegisterFamily("node" + std::to_string(node) + "/",
+                                   kSchema, &zeros));
+  }
+  ASSERT_GE(reg.size(), 2000u);
+  for (int k = 0; k < 50; k++) {
+    reg.SnapshotEpoch(Milliseconds(250) * (k + 1));
+  }
+  const std::string json = reg.ToJson();
+  EXPECT_NE(json.find("\"node699/c\": [0, 0, 0"), std::string::npos);
+  EXPECT_LE(json.capacity(), 2 * json.size())
+      << json.size() << " bytes exported into a " << json.capacity()
+      << "-byte reservation";
 }
 
 TEST(MetricsRegistryTest, GetterIndirectionSurvivesObjectReplacement) {

@@ -4,6 +4,10 @@
 Usage:
     tools/check_bench_regression.py CURRENT.json [BASELINE.json]
                                     [--max-regression 0.25]
+    tools/check_bench_regression.py SCALEOUT.json [BASE_SCALEOUT.json]
+                                    --max-epoch-root-cost 40
+                                    [--max-peak-rss-mb MB]
+                                    [--max-wall-ratio 1.15]
 
 Exits nonzero if the headline events/sec figure regressed by more than
 --max-regression, or any per-bench items_per_sec by more than the looser
@@ -76,16 +80,53 @@ def check_epoch_cost(path, doc, max_root_cost):
     return 0
 
 
-def check_epoch_scaleout(path, doc, max_root_cost, max_peak_rss_mb=None):
+def check_wall_ratio(doc, base_path, max_wall_ratio):
+    """Host seconds of an epoch_scaleout run against the same run at the
+    base commit on the same machine: the change's wall_s may be at most
+    max_wall_ratio times the base's. Returns a list of failures. A base
+    built before the doc recorded wall_s has nothing to compare, which is
+    reported and passes.
+    """
+    with open(base_path) as f:
+        base = json.load(f)
+    shape = ("nodes", "fanout", "epochs")
+    if base.get("kind") != "epoch_scaleout":
+        return [f"{base_path}: not an epoch_scaleout doc to compare wall_s "
+                "with"]
+    if any(base.get(k) != doc.get(k) for k in shape):
+        return [f"{base_path}: base ran {[base.get(k) for k in shape]}, the "
+                f"change {[doc.get(k) for k in shape]} (nodes, fanout, "
+                "epochs); wall times of different runs do not compare"]
+    cur, old = doc.get("wall_s"), base.get("wall_s")
+    if cur is None:
+        return ["missing wall_s"]
+    if old is None:
+        print(f"epoch_scaleout: wall_s={cur:.4f} s; {base_path} records no "
+              "wall_s (older fig7_scaleout), wall gate skipped")
+        return []
+    ratio = cur / old if old > 0 else float("inf")
+    print(f"epoch_scaleout: wall_s={cur:.4f} s vs base {old:.4f} s "
+          f"({ratio:.2f}x, limit {max_wall_ratio:.2f}x)")
+    if ratio > max_wall_ratio:
+        return [f"wall_s {cur:.4f} s is {ratio:.2f}x the base's {old:.4f} s, "
+                f"over --max-wall-ratio {max_wall_ratio:.2f}: the epoch path "
+                "got slower on the host"]
+    return []
+
+
+def check_epoch_scaleout(path, doc, max_root_cost, max_peak_rss_mb=None,
+                         max_wall_ratio=None, base_path=None):
     """Gate a schema-2 epoch_scaleout doc (fig7_scaleout --scaleout_nodes).
 
-    These docs have no committed baseline — the bound is absolute: the
-    initiator's summary traffic per epoch must stay at the tree's fanout
-    (plus straggler re-requests), never at O(N). A missing bound is an
-    error so CI cannot silently run the job unguarded. With
-    --max-peak-rss-mb the process's peak RSS is bounded too: per-node epoch
-    state that grows with N shows up there first (O(N^2) bytes in total),
-    and so does a metrics snapshot store that grows faster than what changes.
+    The root-cost bound is absolute: the initiator's summary traffic per
+    epoch must stay at the tree's fanout (plus straggler re-requests), never
+    at O(N). A missing bound is an error so CI cannot silently run the job
+    unguarded. With --max-peak-rss-mb the process's peak RSS is bounded too:
+    per-node epoch state that grows with N shows up there first (O(N^2)
+    bytes in total), and so does a metrics snapshot store that grows faster
+    than what changes. With --max-wall-ratio the doc's host wall_s is
+    compared with the same run of the base commit (the BASELINE argument),
+    so epoch-path host time is gated on the runner that measured both.
     """
     if max_root_cost is None:
         sys.exit(f"{path}: epoch_scaleout doc requires --max-epoch-root-cost")
@@ -119,6 +160,8 @@ def check_epoch_scaleout(path, doc, max_root_cost, max_peak_rss_mb=None):
                 f"{max_peak_rss_mb:.0f}: per-node epoch state is growing "
                 "with N, or the metrics snapshots with run length"
             )
+    if max_wall_ratio is not None:
+        failures += check_wall_ratio(doc, base_path, max_wall_ratio)
     if failures:
         print("\nFAIL: epoch scale-out bound violated:", file=sys.stderr)
         for f in failures:
@@ -214,6 +257,15 @@ def main():
         "the fig7_scaleout process in MB (the doc's peak_rss_mb field)",
     )
     parser.add_argument(
+        "--max-wall-ratio",
+        type=float,
+        default=None,
+        help="for schema-2 epoch_scaleout docs: maximum allowed ratio of the "
+        "doc's host wall_s to the BASELINE doc's, the same fig7_scaleout run "
+        "at the base commit on the same machine (skipped when the base "
+        "predates the wall_s field)",
+    )
+    parser.add_argument(
         "--phase-change-tolerance",
         type=float,
         default=0.05,
@@ -237,7 +289,8 @@ def main():
     if cur_raw.get("schema") == 2 and cur_raw.get("kind") == "epoch_scaleout":
         return check_epoch_scaleout(args.current, cur_raw,
                                     args.max_epoch_root_cost,
-                                    args.max_peak_rss_mb)
+                                    args.max_peak_rss_mb,
+                                    args.max_wall_ratio, args.baseline)
     if cur_raw.get("schema") == 2 and cur_raw.get("kind") == "epoch_cost":
         return check_epoch_cost(args.current, cur_raw,
                                 args.max_epoch_root_cost)
